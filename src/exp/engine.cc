@@ -1,6 +1,5 @@
 #include "exp/engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -19,7 +18,6 @@
 #include "kernels/registry.h"
 #include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
-#include "sim/batch_machine.h"
 
 namespace aaws {
 namespace exp {
@@ -183,23 +181,17 @@ class KernelPool
 };
 
 /**
- * One unit of batched work: a set of miss indices executed together on
- * one worker.  Units are derived deterministically from the spec list
- * and the hit/miss split, execute serially inside themselves, and
- * write only their own result slots — so `--jobs=N` stays
- * byte-identical to `--jobs=1` at unit granularity.
+ * One unit of work: a set of miss indices executed together on one
+ * worker.  Units are derived deterministically from the spec list and
+ * the hit/miss split, execute serially inside themselves, and write
+ * only their own result slots — so `--jobs=N` stays byte-identical to
+ * `--jobs=1` at unit granularity.  Every miss is its own unit except
+ * the specs of a one-knob sweep, which share one fork unit.
  */
 struct WorkUnit
 {
-    enum class Kind
-    {
-        single, ///< One spec through executeSpec (serve, opt-outs).
-        lanes,  ///< Lockstep BatchMachine lanes, same (kernel, seed).
-        fork,   ///< One-knob sweep: reference + snapshot forks.
-    };
-
-    Kind kind = Kind::single;
-    SweepKnob knob = SweepKnob::steal_attempt_cycles; ///< fork only
+    /** The swept knob of a fork unit; empty for a single spec. */
+    std::optional<SweepKnob> knob;
     std::vector<size_t> indices; ///< ascending spec indices
 };
 
@@ -241,84 +233,44 @@ forkGroupKey(const RunSpec &spec, SweepKnob &knob_out, std::string &key_out)
 }
 
 /**
- * Partition the miss indices into work units.  Grouping is a pure
- * function of the spec list and the miss set: fork units collect
- * one-knob sweeps by masked canonical form, lane units collect the
- * rest by (kernel, seed), and serving or batching-opt-out specs run as
- * singles.  std::map keeps unit order deterministic.
+ * Partition the miss indices into work units: one-knob sweeps of two
+ * or more specs (by masked canonical form) become fork units, listed
+ * first so the longest units start first; every other miss, including
+ * serving and batching-opt-out specs, is a single-spec unit.  A pure
+ * function of the spec list and the miss set.
  */
 std::vector<WorkUnit>
 planUnits(const std::vector<RunSpec> &specs,
           const std::vector<size_t> &miss, bool batching)
 {
-    std::vector<WorkUnit> units;
-    if (!batching) {
-        for (size_t i : miss)
-            units.push_back({WorkUnit::Kind::single,
-                             SweepKnob::steal_attempt_cycles, {i}});
-        return units;
-    }
-
-    std::map<std::string, std::pair<SweepKnob, std::vector<size_t>>>
-        fork_groups;
-    std::map<std::pair<std::string, uint64_t>, std::vector<size_t>>
-        lane_groups;
-    std::vector<size_t> singles;
-    std::vector<std::string> fork_order; // first-appearance order
-
+    std::vector<WorkUnit> forks;
+    std::vector<WorkUnit> singles;
+    std::map<std::string, size_t> fork_of; // masked key -> forks index
     for (size_t i : miss) {
-        const RunSpec &spec = specs[i];
-        if (spec.serve || !spec.batchable) {
-            singles.push_back(i);
-            continue;
-        }
         SweepKnob knob = SweepKnob::steal_attempt_cycles;
         std::string key;
-        if (forkGroupKey(spec, knob, key)) {
-            auto [it, inserted] =
-                fork_groups.try_emplace(key, knob, std::vector<size_t>{});
+        if (batching && specs[i].batchable &&
+            forkGroupKey(specs[i], knob, key)) {
+            auto [it, inserted] = fork_of.try_emplace(key, forks.size());
             if (inserted)
-                fork_order.push_back(key);
-            it->second.second.push_back(i);
+                forks.push_back({knob, {}});
+            forks[it->second].indices.push_back(i);
         } else {
-            lane_groups[{spec.kernel, spec.seed}].push_back(i);
+            singles.push_back({std::nullopt, {i}});
         }
     }
-
-    // Fork groups of one spec have nothing to share; demote them to
-    // the lane pool so they still batch with same-kernel misses.
-    for (const std::string &key : fork_order) {
-        auto &group = fork_groups.at(key);
-        if (group.second.size() < 2) {
-            const RunSpec &spec = specs[group.second[0]];
-            lane_groups[{spec.kernel, spec.seed}].push_back(
-                group.second[0]);
-        } else {
-            units.push_back(
-                {WorkUnit::Kind::fork, group.first, group.second});
-        }
-    }
-    for (auto &[key, indices] : lane_groups) {
-        std::sort(indices.begin(), indices.end());
-        if (indices.size() < 2)
-            units.push_back({WorkUnit::Kind::single,
-                             SweepKnob::steal_attempt_cycles, indices});
-        else
-            units.push_back({WorkUnit::Kind::lanes,
-                             SweepKnob::steal_attempt_cycles, indices});
-    }
-    for (size_t i : singles)
-        units.push_back({WorkUnit::Kind::single,
-                         SweepKnob::steal_attempt_cycles, {i}});
-    return units;
+    // A one-spec sweep has nothing to share: it runs as a single.
+    for (WorkUnit &unit : forks)
+        if (unit.indices.size() < 2)
+            unit.knob.reset();
+    forks.insert(forks.end(), singles.begin(), singles.end());
+    return forks;
 }
 
 /** One-line machine-readable perf record (see EXPERIMENTS.md schema). */
 void
 writeBenchJson(const std::string &path, const std::string &bench_name,
-               const std::string &topology_tag, const BatchStats &stats,
-               const std::vector<std::pair<std::string, double>>
-                   &extra_metrics)
+               const std::string &topology_tag, const BatchStats &stats)
 {
     double elapsed = stats.elapsed_seconds > 0.0 ? stats.elapsed_seconds
                                                  : 1e-9;
@@ -337,9 +289,9 @@ writeBenchJson(const std::string &path, const std::string &bench_name,
            json::encodeDouble(stats.elapsed_seconds);
     out += strfmt(",\"sim_events\":%llu",
                   static_cast<unsigned long long>(stats.sim_events));
-    out += strfmt(",\"batched_lanes\":%llu,\"fork_runs\":%llu,"
+    out += strfmt(",\"units\":%llu,\"fork_runs\":%llu,"
                   "\"cloned_results\":%llu",
-                  static_cast<unsigned long long>(stats.batched_lanes),
+                  static_cast<unsigned long long>(stats.units),
                   static_cast<unsigned long long>(stats.fork_runs),
                   static_cast<unsigned long long>(stats.cloned_results));
     out += ",\"sims_per_second\":" +
@@ -347,9 +299,6 @@ writeBenchJson(const std::string &path, const std::string &bench_name,
     out += ",\"events_per_second\":" +
            json::encodeDouble(static_cast<double>(stats.sim_events) /
                               elapsed);
-    for (const auto &[name, value] : extra_metrics)
-        out += "," + json::encodeString(name) + ":" +
-               json::encodeDouble(value);
     out += "}\n";
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
@@ -370,7 +319,6 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
     std::vector<RunResult> results(specs.size());
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> sim_events{0};
-    std::atomic<uint64_t> batched_lanes{0};
     std::atomic<uint64_t> fork_runs{0};
     std::atomic<uint64_t> cloned_results{0};
     ProgressReporter progress(options.progress, specs.size());
@@ -391,7 +339,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         }
     }
 
-    // Pass 2: plan work units (fork sweeps, lockstep lanes, singles).
+    // Pass 2: plan work units (fork sweeps, then single specs).
     std::vector<WorkUnit> units =
         planUnits(specs, miss, options.batching);
 
@@ -428,25 +376,6 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         progress.onRunDone(false);
     };
 
-    auto runLanes = [&](const std::vector<size_t> &indices) {
-        sim::BatchMachine batch;
-        for (size_t i : indices) {
-            const Kernel &kernel = kernels.get(specs[i]);
-            batch.addLane(configForSpec(kernel, specs[i]), kernel.dag);
-        }
-        std::vector<SimResult> lane_results = batch.run();
-        for (size_t k = 0; k < indices.size(); ++k) {
-            const size_t i = indices[k];
-            RunResult result;
-            result.kernel = specs[i].kernel;
-            result.system = specs[i].system;
-            result.variant = specs[i].variant;
-            result.sim = std::move(lane_results[k]);
-            batched_lanes.fetch_add(1, std::memory_order_relaxed);
-            record(i, std::move(result));
-        }
-    };
-
     auto runFork = [&](const WorkUnit &unit) {
         // Reference run: the first spec of the sweep, instrumented for
         // the event index at which the swept knob is first read.
@@ -461,7 +390,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         ref_result.variant = ref_spec.variant;
         ref_result.sim = reference.run();
         const uint64_t first_read =
-            reference.knobFirstReadEvent(unit.knob);
+            reference.knobFirstReadEvent(*unit.knob);
         RunResult ref_copy = ref_result; // record() consumes the original
         record(ref_idx, std::move(ref_result));
 
@@ -477,11 +406,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         if (first_read == 0 ||
             first_read - 1 < options.fork_min_prefix_events) {
             // Knob read at boot (no shareable prefix) or the prefix is
-            // too short to pay for the replay.  Plain serial runs, not
-            // lockstep lanes: lanes widen the shared heap and interleave
-            // lane state, which costs more per event than independent
-            // runs when there is no prefix to share (bench/micro_sim
-            // BM_BatchMachineLanes quantifies the gap).
+            // too short to pay for the replay: plain runs.
             for (size_t i : rest)
                 record(i, executeSpec(specs[i], kernels.get(specs[i])));
             return;
@@ -506,18 +431,12 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
     };
 
     auto runUnit = [&](const WorkUnit &unit) {
-        switch (unit.kind) {
-          case WorkUnit::Kind::single:
-            for (size_t i : unit.indices)
-                record(i, executeSpec(specs[i], kernels.get(specs[i])));
-            break;
-          case WorkUnit::Kind::lanes:
-            runLanes(unit.indices);
-            break;
-          case WorkUnit::Kind::fork:
+        if (unit.knob) {
             runFork(unit);
-            break;
+            return;
         }
+        const size_t i = unit.indices[0];
+        record(i, executeSpec(specs[i], kernels.get(specs[i])));
     };
 
     if (jobs <= 1 || units.size() <= 1) {
@@ -539,7 +458,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
     stats.jobs = jobs;
     stats.elapsed_seconds = secondsSince(progress.start());
     stats.sim_events = sim_events.load(std::memory_order_relaxed);
-    stats.batched_lanes = batched_lanes.load(std::memory_order_relaxed);
+    stats.units = units.size();
     stats.fork_runs = fork_runs.load(std::memory_order_relaxed);
     stats.cloned_results = cloned_results.load(std::memory_order_relaxed);
     progress.summary(stats);
@@ -560,8 +479,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         writeBenchJson(options.bench_json,
                        options.bench_name.empty() ? "batch"
                                                   : options.bench_name,
-                       options.topology_tag, stats,
-                       options.extra_metrics);
+                       options.topology_tag, stats);
     if (stats_out)
         *stats_out = stats;
     return results;

@@ -9,21 +9,17 @@
  * is independent of scheduling interleavings and `--jobs=N` is
  * byte-identical to `--jobs=1`.  Cache hits skip simulation entirely.
  *
- * Batched execution (EngineOptions::batching, default on): cache
- * misses are grouped into work units before execution —
+ * Work units: every cache miss is its own unit — the fine grain keeps
+ * `--jobs=N` load-balanced — except under batched execution
+ * (EngineOptions::batching, default on), where specs identical except
+ * for the value of exactly one SweepKnob (a sensitivity sweep row)
+ * share one *fork unit*.  The unit simulates a reference run, learns
+ * where the knob is first read, replays that shared prefix once,
+ * snapshots, and forks per sweep value; when the knob is never read,
+ * the remaining results are clones of the reference (the run provably
+ * cannot depend on the knob).
  *
- *  - *fork units*: specs identical except for the value of exactly one
- *    SweepKnob (a sensitivity sweep row).  The unit simulates a
- *    reference run, learns where the knob is first read, replays that
- *    shared prefix once, snapshots, and forks per sweep value; when
- *    the knob is never read, the remaining results are clones of the
- *    reference (the run provably cannot depend on the knob).
- *
- *  - *lane units*: remaining misses sharing (kernel, seed) step as
- *    lockstep lanes of one sim::BatchMachine through a shared event
- *    queue.
- *
- * Every batched path produces results bit-identical to serial
+ * Forks and clones produce results bit-identical to plain
  * Machine::run (DESIGN.md §10; enforced by the stress fuzz), so
  * batching changes wall-clock, never output.
  *
@@ -43,7 +39,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "exp/run_spec.h"
@@ -77,23 +72,16 @@ struct EngineOptions
      */
     std::string topology_tag;
     /**
-     * Extra (name, value) metrics appended verbatim to the bench-JSON
-     * record — bench-specific numbers measured outside the engine batch
-     * (e.g. micro_sim's lane_events_per_second) that
-     * tools/bench_compare.py should be able to track by name.
-     */
-    std::vector<std::pair<std::string, double>> extra_metrics;
-    /**
-     * Batched execution (--no-batch disables): group compatible cache
-     * misses into lockstep BatchMachine lanes per (kernel, seed), and
-     * sweep groups differing in exactly one SweepKnob into
-     * snapshot-fork units that simulate the shared prefix once.  Both
-     * paths return results bit-identical to serial execution.
+     * Batched execution (--no-batch disables): sweep groups differing
+     * in exactly one SweepKnob run as snapshot-fork units that
+     * simulate the shared prefix once, or clone the reference result
+     * when the knob is never read.  Results are bit-identical to plain
+     * runs.
      */
     bool batching = true;
     /**
      * Smallest shared-prefix length (in events) worth snapshot-forking;
-     * shorter prefixes fall back to lane batching, where the fork
+     * shorter prefixes fall back to plain runs, where the fork
      * bookkeeping would cost more than the replay it saves.
      */
     uint64_t fork_min_prefix_events = 5000;
@@ -108,8 +96,8 @@ struct BatchStats
     double elapsed_seconds = 0.0;
     /** Discrete events processed across executed (non-cached) sims. */
     uint64_t sim_events = 0;
-    /** Misses executed as lanes of a shared-queue BatchMachine. */
-    uint64_t batched_lanes = 0;
+    /** Work units the misses were planned into (see runBatch). */
+    uint64_t units = 0;
     /** Misses satisfied by a snapshot-fork continuation. */
     uint64_t fork_runs = 0;
     /**

@@ -33,8 +33,8 @@ namespace exp {
  * v3: RunSpec grew the optional open-loop serving dimension (`serve`),
  * and SimResult grew the ServeStats block those runs fill.
  *
- * v4: the engine gained batched execution (lockstep BatchMachine lanes
- * and snapshot-fork sweep groups).  Batched results are proven
+ * v4: the engine gained batched execution (lockstep lanes, since
+ * removed, and snapshot-fork sweep groups).  Batched results are proven
  * bit-identical to serial ones (tests/stress/stress_batch_sim.cc), but
  * the bump retires every record produced by the pre-batching engine so
  * a batched run can never be served a result the new execution paths
@@ -105,12 +105,12 @@ struct RunSpec
     bool collect_trace = false;
     SpecOverrides overrides;
     /**
-     * Batching hint: when true (the default) the engine may execute
-     * this spec as a lane of a lockstep BatchMachine or as a
-     * snapshot-fork continuation instead of a standalone Machine::run.
-     * Both paths are bit-identical to serial execution, so the hint is
-     * not part of the canonical form; it exists for callers that want
-     * a spec pinned to the serial path (A/B timing, bug triage).
+     * Batching hint: when true (the default) the engine may satisfy
+     * this spec with a snapshot-fork continuation or a clone of a
+     * sweep's reference run instead of a standalone Machine::run.
+     * Both are bit-identical to a plain run, so the hint is not part
+     * of the canonical form; it exists for callers that want a spec
+     * pinned to the plain path (A/B timing, bug triage).
      * Serving specs ignore it (the request-level simulation has its
      * own driver).
      */

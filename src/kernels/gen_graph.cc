@@ -25,11 +25,20 @@ struct LocalGraph
  * PBBS randLocalGraph analog: every node draws `deg` neighbors uniformly
  * within a locality window, giving the high-diameter structure that makes
  * BFS run for many rounds.
+ *
+ * Built straight into CSR form: the draws land in one flat array (edge
+ * u * deg + d is node u's d-th draw), a degree count and prefix sum size
+ * each node's span, and a scatter in draw order fills the spans.  Each
+ * node's neighbor order is therefore the order in which its edges were
+ * drawn, exactly as if every draw appended to per-node lists.
  */
 LocalGraph
 makeLocalGraph(Rng &rng, int64_t n, int deg, int64_t window)
 {
-    std::vector<std::vector<int32_t>> adj(n);
+    std::vector<int32_t> drawn(static_cast<size_t>(n * deg));
+    LocalGraph g;
+    g.n = n;
+    g.offsets.assign(n + 1, 0);
     for (int64_t u = 0; u < n; ++u) {
         for (int d = 0; d < deg; ++d) {
             int64_t lo = std::max<int64_t>(0, u - window);
@@ -37,22 +46,20 @@ makeLocalGraph(Rng &rng, int64_t n, int deg, int64_t window)
             int64_t v = rng.range(lo, hi);
             if (v == u)
                 v = (u + 1) % n;
-            adj[u].push_back(static_cast<int32_t>(v));
-            adj[v].push_back(static_cast<int32_t>(u));
+            drawn[u * deg + d] = static_cast<int32_t>(v);
+            g.offsets[u + 1]++;
+            g.offsets[v + 1]++;
         }
     }
-    LocalGraph g;
-    g.n = n;
-    g.offsets.resize(n + 1);
-    g.offsets[0] = 0;
-    for (int64_t u = 0; u < n; ++u) {
-        g.offsets[u + 1] =
-            g.offsets[u] + static_cast<int32_t>(adj[u].size());
-    }
+    for (int64_t u = 0; u < n; ++u)
+        g.offsets[u + 1] += g.offsets[u];
+    std::vector<int32_t> fill(g.offsets.begin(), g.offsets.end() - 1);
     g.neighbors.resize(g.offsets[n]);
-    for (int64_t u = 0; u < n; ++u) {
-        std::copy(adj[u].begin(), adj[u].end(),
-                  g.neighbors.begin() + g.offsets[u]);
+    for (int64_t e = 0; e < n * deg; ++e) {
+        const int32_t u = static_cast<int32_t>(e / deg);
+        const int32_t v = drawn[e];
+        g.neighbors[fill[u]++] = v;
+        g.neighbors[fill[v]++] = u;
     }
     return g;
 }

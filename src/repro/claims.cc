@@ -443,14 +443,15 @@ buildClaims()
                agg(t2, "summary", "median_chan_vs_ws"), 1.5, 1.0));
 
     // --- Batched execution: harness invariants ----------------------
-    // The engine's lockstep-lane and snapshot-fork paths (DESIGN.md
-    // §10) promise results bit-identical to serial Machine::run; each
-    // claim counts serialized-result mismatches between a batched and
-    // a forced-serial execution of the same uncached probe, so any
-    // divergence — a single flipped double bit — fails the gate.
+    // The engine promises results independent of how it executes a
+    // batch (DESIGN.md §10); each claim counts serialized-result
+    // mismatches between two executions of the same uncached probe,
+    // so any divergence — a single flipped double bit — fails the
+    // gate.  The fig08 probe checks the worker fan-out (--jobs=N vs
+    // --jobs=1); the mug sweep checks snapshot forks vs plain runs.
     add(exact("batch/fig08_bit_identical", "harness invariant",
-              "batched fig08 probe (lockstep lanes) serializes "
-              "byte-identically to serial execution",
+              "fig08 probe fanned out over several jobs serializes "
+              "byte-identically to a one-job execution",
               agg("fig08_exec_breakdown", "batch_check",
                   "json_mismatches"),
               0.0));

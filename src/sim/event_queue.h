@@ -13,11 +13,10 @@
  * no stale events ever exist.
  *
  * Heap entries carry their (tick, seq) key inline rather than indirect
- * through a per-slot key array: every sift comparison would otherwise
- * be a dependent load at a heap-order-random slot index, which
- * dominates pop cost once a BatchMachine widens the heap to N lanes'
- * worth of slots.  The per-slot `pos_` index alone is enough for the
- * in-place reschedule and cancel paths.
+ * through a per-slot key array, so a sift comparison never has to make
+ * a dependent load at a heap-order-random slot index.  The per-slot
+ * `pos_` index alone is enough for the in-place reschedule and cancel
+ * paths.  Each Machine owns one queue of 2 * cores + 1 slots.
  *
  * Ordering is identical to the old `std::priority_queue<Event>` scheme:
  * events pop in (tick, seq) lexicographic order, where `seq` is the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -65,8 +66,7 @@ MachineConfig::system1B7L()
     return config;
 }
 
-Machine::Machine(const MachineConfig &config, const TaskDag &dag,
-                 const BatchBinding &binding)
+Machine::Machine(const MachineConfig &config, const TaskDag &dag)
     : config_(config), dag_(dag), app_model_(config.app_params),
       topo_(config.resolvedTopology()),
       table_shared_(config.table_override
@@ -83,10 +83,7 @@ Machine::Machine(const MachineConfig &config, const TaskDag &dag,
       regions_(topo_.cluster(0).count,
                topo_.numCores() - topo_.cluster(0).count),
       num_cores_(topo_.numCores()),
-      own_events_(binding.queue ? 0 : 2 * config.numCores() + 1),
-      events_(binding.queue ? binding.queue : &own_events_),
-      slot_base_(binding.queue ? binding.slot_base : 0),
-      seq_(binding.seq ? binding.seq : &own_seq_)
+      events_(2 * num_cores_ + 1)
 {
     AAWS_ASSERT(!dag_.phases().empty(), "kernel has no phases");
     int n = num_cores_;
@@ -214,7 +211,7 @@ Machine::schedule(int c, double delay_seconds)
     Core &core = cores_[c];
     core.last_update = now_;
     Tick when = now_ + std::max<Tick>(1, secondsToTicks(delay_seconds));
-    events_->schedule(opSlot(c), when, (*seq_)++);
+    events_.schedule(opSlot(c), when, seq_++);
 }
 
 void
@@ -544,7 +541,7 @@ Machine::onChildJoined(int32_t pf)
     if (core.state == CoreState::stealing &&
         core.pending == Pending::steal && !w.stack.empty() &&
         w.stack.back() == pf) {
-        events_->cancel(opSlot(owner_core)); // in-flight steal attempt
+        events_.cancel(opSlot(owner_core)); // in-flight steal attempt
         core.pending = Pending::none;
         advanceWorker(owner_core);
     }
@@ -858,14 +855,13 @@ Machine::applyDecision(const std::vector<double> &targets)
                      std::min(app_model_.freq(v_from),
                               app_model_.freq(v_to)));
         Tick end = now_ + std::max<Tick>(1, dt);
-        events_->schedule(transitionSlot(static_cast<int>(i)), end,
-                         (*seq_)++);
+        events_.schedule(transitionSlot(static_cast<int>(i)), end, seq_++);
         latest = std::max(latest, end);
     }
     if (latest > now_) {
         controller_busy_ = true;
         controller_free_at_ = latest;
-        events_->schedule(controllerSlot(), latest, (*seq_)++);
+        events_.schedule(controllerSlot(), latest, seq_++);
     }
 }
 
@@ -954,20 +950,20 @@ Machine::boot()
 }
 
 void
-Machine::dispatchEvent(int local_slot, Tick tick)
+Machine::dispatchEvent(int slot, Tick tick)
 {
     AAWS_ASSERT(tick >= now_, "time went backwards");
     now_ = tick;
     if (++result_.sim_events > config_.max_events)
         dumpStateAndPanic();
-    if (local_slot >= num_cores_) {
-        if (local_slot == 2 * num_cores_)
+    if (slot >= num_cores_) {
+        if (slot == 2 * num_cores_)
             onControllerFree();
         else
-            onTransitionDone(local_slot - num_cores_);
+            onTransitionDone(slot - num_cores_);
         return;
     }
-    Core &core = cores_[local_slot];
+    Core &core = cores_[slot];
     Pending p = core.pending;
     core.pending = Pending::none;
     core.remaining = 0.0;
@@ -975,10 +971,10 @@ Machine::dispatchEvent(int local_slot, Tick tick)
       case Pending::work:
         switch (core.after_work) {
           case After::advance:
-            advanceWorker(local_slot);
+            advanceWorker(slot);
             break;
           case After::phase:
-            phaseTransition(local_slot);
+            phaseTransition(slot);
             break;
           case After::phase_serial_done: {
             serial_core_ = -1;
@@ -989,37 +985,29 @@ Machine::dispatchEvent(int local_slot, Tick tick)
                 w.stack.push_back(
                     allocFrame(static_cast<uint32_t>(phase.root_task),
                                -1, core.worker));
-                advanceWorker(local_slot);
+                advanceWorker(slot);
             } else {
-                startNextPhase(local_slot);
+                startNextPhase(slot);
             }
             break;
           }
         }
         break;
       case Pending::steal:
-        onStealDone(local_slot);
+        onStealDone(slot);
         break;
       case Pending::steal_fetch:
-        onStealFetchDone(local_slot);
+        onStealFetchDone(slot);
         break;
       case Pending::mug_issue:
-        onMugIssueDone(local_slot);
+        onMugIssueDone(slot);
         break;
       case Pending::mug_save:
-        onMugSaveDone(local_slot);
+        onMugSaveDone(slot);
         break;
       case Pending::none:
         panic("event for core with no pending operation");
     }
-}
-
-void
-Machine::cancelPendingEvents()
-{
-    // cancel() is a no-op on inactive slots, so just sweep the range.
-    for (int s = 0; s < eventSlots(); ++s)
-        events_->cancel(slot_base_ + s);
 }
 
 SimResult
@@ -1062,13 +1050,8 @@ Machine::finalize()
 SimResult
 Machine::resumeRun()
 {
-    AAWS_ASSERT(events_ == &own_events_, "resumeRun on a bound machine");
     AAWS_ASSERT(booted_, "resumeRun before boot");
-    while (!finished_ && !own_events_.empty()) {
-        Tick tick = own_events_.topTick();
-        int slot = own_events_.pop();
-        dispatchEvent(slot, tick);
-    }
+    runEvents(std::numeric_limits<uint64_t>::max());
     return finalize();
 }
 
@@ -1082,13 +1065,12 @@ Machine::run()
 uint64_t
 Machine::runEvents(uint64_t max_total_events)
 {
-    AAWS_ASSERT(events_ == &own_events_, "runEvents on a bound machine");
     if (!booted_)
         boot();
     while (!finished_ && result_.sim_events < max_total_events &&
-           !own_events_.empty()) {
-        Tick tick = own_events_.topTick();
-        int slot = own_events_.pop();
+           !events_.empty()) {
+        Tick tick = events_.topTick();
+        int slot = events_.pop();
         dispatchEvent(slot, tick);
     }
     return result_.sim_events;
@@ -1099,7 +1081,6 @@ Machine::runEvents(uint64_t max_total_events)
 Machine::Snapshot
 Machine::snapshot() const
 {
-    AAWS_ASSERT(events_ == &own_events_, "snapshot of a bound machine");
     AAWS_ASSERT(booted_ && !finalized_, "snapshot outside an active run");
     Snapshot s;
     s.cores = cores_;
@@ -1107,9 +1088,9 @@ Machine::snapshot() const
     s.worker_core = worker_core_;
     s.frames = frames_;
     s.free_frames = free_frames_;
-    s.events = own_events_;
+    s.events = events_;
     s.now = now_;
-    s.seq = own_seq_;
+    s.seq = seq_;
     s.phase_idx = phase_idx_;
     s.serial_core = serial_core_;
     s.finished = finished_;
@@ -1136,7 +1117,6 @@ Machine::snapshot() const
 void
 Machine::restore(const Snapshot &snap)
 {
-    AAWS_ASSERT(events_ == &own_events_, "restore into a bound machine");
     AAWS_ASSERT(!finalized_, "restore into a finalized machine");
     AAWS_ASSERT(snap.cores.size() == cores_.size() &&
                     snap.workers.size() == workers_.size(),
@@ -1146,9 +1126,9 @@ Machine::restore(const Snapshot &snap)
     worker_core_ = snap.worker_core;
     frames_ = snap.frames;
     free_frames_ = snap.free_frames;
-    own_events_ = snap.events;
+    events_ = snap.events;
     now_ = snap.now;
-    own_seq_ = snap.seq;
+    seq_ = snap.seq;
     phase_idx_ = snap.phase_idx;
     serial_core_ = snap.serial_core;
     finished_ = snap.finished;

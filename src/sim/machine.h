@@ -34,28 +34,21 @@
  * `sched::SchedView` interface they read and keeps only event
  * mechanics and cost charging for itself.
  *
- * Simulation is single-threaded and fully deterministic.  The event
- * structure is an IndexedEventQueue with one slot per event source
- * (core pending-op, core transition, controller), so rescheduling a
- * core's in-flight charge is an in-place heap update instead of a stale
- * entry plus an epoch check at pop time.
+ * Simulation is single-threaded and fully deterministic.  The machine
+ * owns its event structure: an IndexedEventQueue with one slot per
+ * event source (core pending-op, core transition, controller) plus the
+ * sequence counter that breaks same-tick ties, so rescheduling a core's
+ * in-flight charge is an in-place heap update instead of a stale entry
+ * plus an epoch check at pop time.
  *
- * Two extensions serve the batch engine (DESIGN.md §10):
- *
- *  - The event loop is split into boot() / dispatchEvent() / finalize()
- *    and the machine can be *bound* to an external event queue with a
- *    slot base and a shared sequence counter, so sim::BatchMachine can
- *    step many lanes through one heap (per-lane slot stride) while each
- *    lane's internal (tick, seq) pop order — and therefore its entire
- *    numeric history — stays bit-identical to a serial run.
- *
- *  - snapshot()/restore() capture and reinstate every piece of mutable
- *    simulation state (cores, deques, frames, event queue, DVFS and
- *    census state, energy timelines, RNG streams), so a sweep that
- *    varies only a tail parameter can simulate the common prefix once
- *    and fork.  The machine also records the event index at which each
- *    spec-sweepable config knob is *first read*; a fork taken before
- *    that index is provably bit-identical to a from-scratch run.
+ * For the batch engine (DESIGN.md §10), snapshot()/restore() capture
+ * and reinstate every piece of mutable simulation state (cores, deques,
+ * frames, event queue, DVFS and census state, energy timelines, RNG
+ * streams), so a sweep that varies only a tail parameter can simulate
+ * the common prefix once and fork.  The machine also records the event
+ * index at which each spec-sweepable config knob is *first read*; a
+ * fork taken before that index is provably bit-identical to a
+ * from-scratch run.
  */
 
 #ifndef AAWS_SIM_MACHINE_H
@@ -97,21 +90,6 @@ enum class SweepKnob
 inline constexpr int kNumSweepKnobs = 3;
 
 /**
- * Binding onto an external event queue: the machine schedules its
- * events into `queue` at slots [slot_base, slot_base + eventSlots())
- * and draws tie-break sequence numbers from the shared `*seq` counter.
- * sim::BatchMachine uses this to step many lanes through one indexed
- * heap; a default-constructed binding (all null) means the machine owns
- * its queue and run() drives it.
- */
-struct BatchBinding
-{
-    IndexedEventQueue *queue = nullptr;
-    int slot_base = 0;
-    uint64_t *seq = nullptr;
-};
-
-/**
  * One simulated machine executing one task DAG.  Construct and run()
  * once; the object is not reusable (but see snapshot()/restore(), which
  * reinstate a mid-run state into a freshly constructed machine).
@@ -134,50 +112,12 @@ class Machine final
      *     a temporary is fine, but `config.table_override`, when set,
      *     is borrowed and must outlive the machine).
      * @param dag Borrowed task graph; must outlive the machine.
-     * @param binding Optional external-queue binding (batch lanes).
      */
-    Machine(const MachineConfig &config, const TaskDag &dag,
-            const BatchBinding &binding = BatchBinding());
+    Machine(const MachineConfig &config, const TaskDag &dag);
     ~Machine();
 
     /** Execute the whole program and return the measurements. */
     SimResult run();
-
-    // --- externally driven event loop (sim::BatchMachine) ---------------
-    //
-    // run() is boot() + a pop/dispatch loop + finalize().  A batch
-    // driver owns the loop instead: it pops the shared queue, maps the
-    // global slot back to a lane, and calls dispatchEvent() — each
-    // lane's internal (tick, seq) order is exactly the serial order, so
-    // per-lane results are bit-identical to Machine::run().
-
-    /** Schedule the boot events (phase 0, steal loops, boot decision). */
-    void boot();
-
-    /** Has the simulated program completed? */
-    bool finished() const { return finished_; }
-
-    /** Number of event slots this machine occupies (2*cores + 1). */
-    int eventSlots() const { return 2 * num_cores_ + 1; }
-
-    /**
-     * Handle one popped event.  `local_slot` is relative to this
-     * machine's slot base; `tick` is the popped event's deadline (must
-     * be monotone per machine).
-     */
-    void dispatchEvent(int local_slot, Tick tick);
-
-    /** Disarm every live event of this machine (finished batch lane). */
-    void cancelPendingEvents();
-
-    /**
-     * Close the timelines and return the measurements.  Call exactly
-     * once, after finished() turns true.
-     */
-    SimResult finalize();
-
-    /** Discrete events dispatched so far (== result sim_events). */
-    uint64_t eventsProcessed() const { return result_.sim_events; }
 
     // --- snapshot-and-fork ----------------------------------------------
 
@@ -191,7 +131,7 @@ class Machine final
      */
     uint64_t runEvents(uint64_t max_total_events);
 
-    /** Capture the complete mutable state (owned-queue machines only). */
+    /** Capture the complete mutable state. */
     Snapshot snapshot() const;
 
     /**
@@ -361,6 +301,23 @@ class Machine final
         bool mug_for_phase = false;
     };
 
+    // --- event loop (run / runEvents / resumeRun) -------------------------
+
+    /** Schedule the boot events (phase 0, steal loops, boot decision). */
+    void boot();
+
+    /**
+     * Handle one popped event: `slot` is its source, `tick` its deadline
+     * (monotone).
+     */
+    void dispatchEvent(int slot, Tick tick);
+
+    /**
+     * Close the timelines and return the measurements.  Call exactly
+     * once, after the program finished.
+     */
+    SimResult finalize();
+
     // --- frame pool -----------------------------------------------------
 
     int32_t allocFrame(uint32_t task, int32_t parent_frame, int worker);
@@ -415,15 +372,14 @@ class Machine final
 
     // --- event slots -------------------------------------------------------------
     //
-    // Global slot ids: local layout [ops | transitions | controller],
-    // offset by the batch binding's slot base (0 when self-owned).
+    // Slot layout: [ops | transitions | controller].
 
     /** Slot of core c's pending-op event. */
-    int opSlot(int c) const { return slot_base_ + c; }
+    int opSlot(int c) const { return c; }
     /** Slot of core c's transition-end event. */
-    int transitionSlot(int c) const { return slot_base_ + num_cores_ + c; }
+    int transitionSlot(int c) const { return num_cores_ + c; }
     /** Slot of the controller-free event. */
-    int controllerSlot() const { return slot_base_ + 2 * num_cores_; }
+    int controllerSlot() const { return 2 * num_cores_; }
 
     /** Record the first read of a sweepable config knob. */
     void
@@ -436,9 +392,9 @@ class Machine final
 
     // --- members -----------------------------------------------------------------
 
-    // Owned copy, not a reference: callers (the engine's fork path, the
-    // batch driver) routinely construct machines from temporary or
-    // loop-local configs, and the config is read on every event.
+    // Owned copy, not a reference: callers (the engine's fork path)
+    // routinely construct machines from temporary or loop-local
+    // configs, and the config is read on every event.
     const MachineConfig config_;
     const TaskDag &dag_;
     FirstOrderModel app_model_;
@@ -458,15 +414,10 @@ class Machine final
     std::vector<int32_t> free_frames_;
 
     int num_cores_ = 0;
-    /** Owned queue (unused when a batch binding supplies one). */
-    IndexedEventQueue own_events_;
-    /** The queue events actually go to (own_events_ or the binding's). */
-    IndexedEventQueue *events_ = nullptr;
-    int slot_base_ = 0;
+    IndexedEventQueue events_;
     Tick now_ = 0;
-    uint64_t own_seq_ = 0;
-    /** Tie-break counter (own_seq_ or the binding's shared counter). */
-    uint64_t *seq_ = nullptr;
+    /** Monotone tie-break counter for same-tick events. */
+    uint64_t seq_ = 0;
 
     // Packed DAG op view (flat array + per-task span offsets).
     const TaskOp *dag_ops_ = nullptr;

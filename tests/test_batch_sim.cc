@@ -1,8 +1,7 @@
 /**
  * @file
- * Batch-simulation unit tests (DESIGN.md §10): BatchMachine lanes must
- * be bit-identical to serial Machine::run, snapshots must round-trip
- * through restore into a bit-identical continuation, and the
+ * Batch-simulation unit tests (DESIGN.md §10): snapshots must
+ * round-trip through restore into a bit-identical continuation, and the
  * knob-first-read bookkeeping must implement the fork contract (a knob
  * never read before event E makes configs differing only in that knob
  * interchangeable through E).  The wide kernels x variants x seeds
@@ -13,111 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "aaws/experiment.h"
-#include "sim/batch_machine.h"
+#include "sim/machine.h"
 #include "sim/result_json.h"
 #include "stress/sim_compare.h"
 
 namespace aaws {
 namespace {
-
-SimResult
-serialRun(const Kernel &kernel, SystemShape shape, Variant variant)
-{
-    MachineConfig config = configFor(kernel, shape, variant);
-    return Machine(config, kernel.dag).run();
-}
-
-TEST(BatchMachine, SingleLaneMatchesSerial)
-{
-    Kernel kernel = makeKernel("sampsort", 0xA57'5EEDull);
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
-
-    sim::BatchMachine batch;
-    ASSERT_EQ(batch.addLane(config, kernel.dag), 0);
-    std::vector<SimResult> results = batch.run();
-    ASSERT_EQ(results.size(), 1u);
-
-    SimResult serial = Machine(config, kernel.dag).run();
-    stress::expectIdenticalResults(serial, results[0]);
-    EXPECT_EQ(simResultToJson(serial), simResultToJson(results[0]));
-}
-
-TEST(BatchMachine, MixedVariantLanesMatchSerial)
-{
-    // One kernel, every variant as its own lane: the canonical
-    // engine-side batch (a fig08-style sweep row).
-    Kernel kernel = makeKernel("matmul", 0xA57'5EEDull);
-    sim::BatchMachine batch;
-    for (Variant v : allVariants())
-        batch.addLane(configFor(kernel, SystemShape::s4B4L, v),
-                      kernel.dag);
-    std::vector<SimResult> results = batch.run();
-    ASSERT_EQ(results.size(), allVariants().size());
-
-    for (size_t i = 0; i < allVariants().size(); ++i) {
-        SCOPED_TRACE(variantName(allVariants()[i]));
-        SimResult serial =
-            serialRun(kernel, SystemShape::s4B4L, allVariants()[i]);
-        stress::expectIdenticalResults(serial, results[i]);
-    }
-}
-
-TEST(BatchMachine, MixedShapeAndKernelLanesMatchSerial)
-{
-    // Heterogeneous lanes: different DAGs, shapes (different slot
-    // strides), and variants in one shared queue.
-    Kernel sampsort = makeKernel("sampsort", 0x1111);
-    Kernel bfs = makeKernel("bfs-d", 0x2222);
-
-    struct Lane
-    {
-        const Kernel *kernel;
-        SystemShape shape;
-        Variant variant;
-    };
-    const Lane lanes[] = {
-        {&sampsort, SystemShape::s4B4L, Variant::base},
-        {&bfs, SystemShape::s1B7L, Variant::base_ps},
-        {&sampsort, SystemShape::s1B7L, Variant::base_psm},
-        {&bfs, SystemShape::s4B4L, Variant::base_p},
-    };
-
-    sim::BatchMachine batch;
-    for (const Lane &lane : lanes)
-        batch.addLane(configFor(*lane.kernel, lane.shape, lane.variant),
-                      lane.kernel->dag);
-    std::vector<SimResult> results = batch.run();
-    ASSERT_EQ(results.size(), 4u);
-
-    for (size_t i = 0; i < 4; ++i) {
-        SCOPED_TRACE(testing::Message() << "lane " << i);
-        SimResult serial = serialRun(*lanes[i].kernel, lanes[i].shape,
-                                     lanes[i].variant);
-        stress::expectIdenticalResults(serial, results[i]);
-    }
-}
-
-TEST(BatchMachine, TraceLanesReplayRecordForRecord)
-{
-    Kernel kernel = makeKernel("heat", 0x3333);
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_psm,
-                  /*collect_trace=*/true);
-
-    sim::BatchMachine batch;
-    batch.addLane(config, kernel.dag);
-    std::vector<SimResult> results = batch.run();
-
-    SimResult serial = Machine(config, kernel.dag).run();
-    ASSERT_TRUE(serial.trace.enabled());
-    ASSERT_GT(serial.trace.records().size(), 0u);
-    stress::expectIdenticalResults(serial, results[0]);
-}
 
 // --- snapshot / restore -----------------------------------------------------
 

@@ -793,6 +793,50 @@ TEST(Engine, BatchStatsCountSimEvents)
     EXPECT_EQ(warm.sim_events, 0u);
 }
 
+TEST(Engine, PlansOneUnitPerMissExceptForkSweeps)
+{
+    // Work-unit granularity: a Fig. 8-shaped batch (kernels x shapes x
+    // variants) must fan out as one unit per miss, so coarse units
+    // cannot creep back in and unbalance --jobs=N.
+    exp::EngineOptions options;
+    options.jobs = 1;
+    options.use_cache = false;
+    options.progress = false;
+    std::vector<exp::RunSpec> fig08;
+    for (const char *kernel : {"dict", "radix-1"})
+        for (SystemShape shape : {SystemShape::s1B7L, SystemShape::s4B4L})
+            for (Variant v : allVariants())
+                fig08.emplace_back(kernel, shape, v);
+    ASSERT_EQ(fig08.size(), 20u);
+    exp::BatchStats stats;
+    exp::runBatch(fig08, options, &stats);
+    EXPECT_EQ(stats.misses, 20u);
+    EXPECT_EQ(stats.units, 20u);
+    EXPECT_EQ(stats.fork_runs + stats.cloned_results, 0u);
+
+    // A mug-latency sweep still shares one fork unit per sweep row: on
+    // base+psm the knob is read mid-run (snapshot forks), on base+ps
+    // never (clones of the reference).
+    std::vector<exp::RunSpec> mug;
+    for (Variant v : {Variant::base_psm, Variant::base_ps})
+        for (uint64_t cycles : {150ull, 450ull, 900ull}) {
+            exp::RunSpec spec("dict", SystemShape::s4B4L, v);
+            spec.overrides.mug_interrupt_cycles = cycles;
+            mug.push_back(spec);
+        }
+    exp::runBatch(mug, options, &stats);
+    EXPECT_EQ(stats.misses, 6u);
+    EXPECT_EQ(stats.units, 2u);
+    EXPECT_EQ(stats.fork_runs, 2u);
+    EXPECT_EQ(stats.cloned_results, 2u);
+
+    // --no-batch: no sharing, one unit per miss.
+    options.batching = false;
+    exp::runBatch(mug, options, &stats);
+    EXPECT_EQ(stats.units, 6u);
+    EXPECT_EQ(stats.fork_runs + stats.cloned_results, 0u);
+}
+
 TEST(Engine, BenchJsonRecordIsWritten)
 {
     fs::path dir = scratchDir("engine_bench_json");

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "kernels/dag_builders.h"
 #include "kernels/registry.h"
 
@@ -179,6 +181,112 @@ TEST(Registry, DifferentSeedsVaryDataDependentKernels)
     Kernel a = makeKernel("qsort-1", 1);
     Kernel b = makeKernel("qsort-1", 2);
     EXPECT_NE(a.dag.totalWork(), b.dag.totalWork());
+}
+
+/** FNV-1a over 64-bit words (DAG fingerprints below). */
+uint64_t
+fnvMix(uint64_t hash, uint64_t word)
+{
+    for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (word >> (8 * byte)) & 0xFF;
+        hash *= 0x100000001B3ull;
+    }
+    return hash;
+}
+
+/** Structural fingerprint of a generated DAG. */
+struct DagFingerprint
+{
+    uint64_t num_tasks;
+    uint64_t num_phases;
+    uint64_t phase_digest; ///< (serial_work, root_task) per phase
+    uint64_t total_work;
+    uint64_t critical_path;
+    uint64_t op_digest;    ///< (kind, arg) of every packed op
+};
+
+DagFingerprint
+fingerprint(const TaskDag &dag)
+{
+    DagFingerprint fp{dag.numTasks(), dag.phases().size(),
+                      0xCBF29CE484222325ull, dag.totalWork(),
+                      dag.criticalPathWork(), 0xCBF29CE484222325ull};
+    for (const Phase &phase : dag.phases()) {
+        fp.phase_digest = fnvMix(fp.phase_digest, phase.serial_work);
+        fp.phase_digest = fnvMix(fp.phase_digest,
+                                 static_cast<uint64_t>(phase.root_task));
+    }
+    const TaskOp *ops = dag.packedOps();
+    for (uint32_t i = 0; i < dag.opSpans()[dag.numTasks()]; ++i) {
+        fp.op_digest =
+            fnvMix(fp.op_digest, static_cast<uint64_t>(ops[i].kind));
+        fp.op_digest = fnvMix(fp.op_digest, ops[i].arg);
+    }
+    return fp;
+}
+
+TEST(Registry, GraphKernelDagsMatchRecordedFingerprints)
+{
+    // The graph kernels derive their DAGs from a synthetic random local
+    // graph, so a change to how that graph is built (e.g. the adjacency
+    // layout) must keep every node's neighbor order to stay
+    // bit-identical.  These values pin the generated DAGs exactly.
+    struct Row
+    {
+        const char *kernel;
+        uint64_t seed;
+        DagFingerprint expected;
+    };
+    const Row rows[] = {
+        {"bfs-d", 1ull,
+         {2538ull, 47ull, 0x8DD1721CD42A1471ull, 37736016ull, 2216270ull,
+          0x82166EF18372FE75ull}},
+        {"bfs-d", 2ull,
+         {2540ull, 49ull, 0xFB55460D29A6BB34ull, 37734624ull, 2216554ull,
+          0xA670A94951002408ull}},
+        {"bfs-d", 0xA575EEDull,
+         {2556ull, 49ull, 0x29ABA386A431DB10ull, 37740092ull, 2218301ull,
+          0x58CCC522F18B5CDCull}},
+        {"bfs-d", 0xBEEFull,
+         {2554ull, 47ull, 0xE41512C85DBFDC0Dull, 37731248ull, 2212909ull,
+          0x78E1F1FF73210C60ull}},
+        {"bfs-nd", 1ull,
+         {2551ull, 24ull, 0xD6BDBA486853E3EDull, 58074252ull, 1912993ull,
+          0x151E41FACF1C541Dull}},
+        {"bfs-nd", 2ull,
+         {2560ull, 25ull, 0x890C07B29350DD7Bull, 58073540ull, 1916448ull,
+          0xFB833DF56D5826Eull}},
+        {"bfs-nd", 0xA575EEDull,
+         {2558ull, 25ull, 0x890C07B29350DD7Bull, 58067977ull, 1916246ull,
+          0x7849032517FE81A0ull}},
+        {"bfs-nd", 0xBEEFull,
+         {2558ull, 25ull, 0x890C07B29350DD7Bull, 58071818ull, 1912816ull,
+          0x38C51F9D73C395BEull}},
+        {"mis", 1ull,
+         {3265ull, 6ull, 0x238570527D4E6E62ull, 5223840ull, 184150ull,
+          0xF60C456F61DE3B57ull}},
+        {"mis", 2ull,
+         {3231ull, 6ull, 0x48FDA73D999BF5BCull, 5216235ull, 184120ull,
+          0xE1A511B1EF4FAD98ull}},
+        {"mis", 0xA575EEDull,
+         {3199ull, 6ull, 0xA5BA0CE46F2A4A5Cull, 5189075ull, 183945ull,
+          0x2E11F3D3AD1CF23ull}},
+        {"mis", 0xBEEFull,
+         {3197ull, 6ull, 0xA5BA0CE46F2A4A5Cull, 5233165ull, 183950ull,
+          0x2D89CAB105F948EFull}},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(testing::Message() << row.kernel << " seed "
+                                        << row.seed);
+        const DagFingerprint fp = fingerprint(makeKernel(row.kernel,
+                                                         row.seed).dag);
+        EXPECT_EQ(fp.num_tasks, row.expected.num_tasks);
+        EXPECT_EQ(fp.num_phases, row.expected.num_phases);
+        EXPECT_EQ(fp.phase_digest, row.expected.phase_digest);
+        EXPECT_EQ(fp.total_work, row.expected.total_work);
+        EXPECT_EQ(fp.critical_path, row.expected.critical_path);
+        EXPECT_EQ(fp.op_digest, row.expected.op_digest);
+    }
 }
 
 class KernelParam : public ::testing::TestWithParam<std::string>
