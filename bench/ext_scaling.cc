@@ -7,8 +7,8 @@
  * energy-efficiency gain per shape.
  *
  * Driven by the experiment engine: the shape sweep is expressed as
- * n_big/n_little spec overrides, so each (shape, kernel, variant)
- * simulation is an independently cached parallel task.
+ * "NbNl" topology-preset spec overrides, so each (shape, kernel,
+ * variant) simulation is an independently cached parallel task.
  */
 
 #include <cstdio>
@@ -40,8 +40,8 @@ main(int argc, char **argv)
         for (const auto &name : names) {
             for (Variant v : {Variant::base, Variant::base_psm}) {
                 exp::RunSpec spec{name, SystemShape::s4B4L, v};
-                spec.overrides.n_big = shape[0];
-                spec.overrides.n_little = shape[1];
+                spec.overrides.topology =
+                    strfmt("%db%dl", shape[0], shape[1]);
                 specs.push_back(std::move(spec));
             }
         }

@@ -68,7 +68,8 @@ main(int argc, char **argv)
 
     std::printf("\n=== DVFS lookup table (4B4L, 25 entries; Section "
                 "III-A) ===\n");
-    DvfsLookupTable table(model, 4, 4);
+    DvfsLookupTable table(model,
+                          CoreTopology::bigLittle(4, 4, model.params()));
     std::printf("%-14s", "bigA\\littleA");
     for (int la = 0; la <= 4; ++la)
         std::printf("        %d       ", la);

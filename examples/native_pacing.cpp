@@ -60,21 +60,20 @@ crunch(RuntimeBackend &pool, int64_t n)
 
 void
 runBackend(BackendKind kind, const DvfsLookupTable &table,
-           const ModelParams &mp, int workers, int n_big, int64_t n)
+           const ModelParams &mp, int64_t n)
 {
     std::printf("--- backend: %s ---\n", backendName(kind));
     std::printf("%-9s %8s %8s %6s %6s %7s %7s %8s\n", "variant",
                 "steals", "mugTry", "mugs", "rounds", "rests",
                 "sprints", "checksum");
     for (Variant v : allVariants()) {
-        PacingGovernor governor(workers, n_big, policyConfigFor(v),
-                                table, mp);
+        PacingGovernor governor(policyConfigFor(v), table, mp);
         PoolOptions options;
         options.policy = policyConfigFor(v);
-        options.n_big = n_big;
+        options.topology = table.topology();
         options.hooks = &governor;
-        std::unique_ptr<RuntimeBackend> pool =
-            chan::makeBackend(kind, workers, options);
+        std::unique_ptr<RuntimeBackend> pool = chan::makeBackend(
+            kind, table.topology().numCores(), options);
         double checksum = crunch(*pool, n);
         std::printf("%-9s %8llu %8llu %6llu %6llu %7llu %7llu %8.2f\n",
                     variantName(v),
@@ -120,25 +119,26 @@ main(int argc, char **argv)
     // The marginal-utility table the governor maps census cells
     // through — the same table generation the simulator uses.
     ModelParams mp;
-    DvfsLookupTable table(FirstOrderModel(mp), kBig, kWorkers - kBig);
+    DvfsLookupTable table(FirstOrderModel(mp),
+                          CoreTopology::bigLittle(kBig, kWorkers - kBig, mp));
 
     std::printf("native pools: %d workers (%dB%dL)\n\n", kWorkers, kBig,
                 kWorkers - kBig);
     if (run_deque)
-        runBackend(BackendKind::deque, table, mp, kWorkers, kBig, kN);
+        runBackend(BackendKind::deque, table, mp, kN);
     if (run_chan)
-        runBackend(BackendKind::chan, table, mp, kWorkers, kBig, kN);
+        runBackend(BackendKind::chan, table, mp, kN);
 
     // Show one governor decision log in detail: what each worker would
     // be running at under full-AAWS with the whole machine busy.
     std::printf("base+psm boot decision (all workers active):\n");
-    PacingGovernor governor(kWorkers, kBig,
-                            policyConfigFor(Variant::base_psm), table,
-                            mp);
+    PacingGovernor governor(policyConfigFor(Variant::base_psm), table, mp);
+    const CoreTopology &topo = table.topology();
     for (int w = 0; w < kWorkers; ++w) {
         GovernorDecision d = governor.decision(w);
         std::printf("  worker %d (%s): %.3f V\n", w,
-                    w < kBig ? "big" : "little", d.voltage);
+                    topo.cluster(topo.clusterOf(w)).name.c_str(),
+                    d.voltage);
     }
     return 0;
 }

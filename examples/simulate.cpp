@@ -84,20 +84,19 @@ main(int argc, char **argv)
     std::printf("\nper-core stats:\n");
     std::printf("  %-6s %-7s %10s %10s %10s\n", "core", "type",
                 "busy(ms)", "wait(ms)", "energy");
-    int n_big = shape == SystemShape::s4B4L ? 4 : 1;
+    MachineConfig config = configFor(kernel, shape, variant);
+    const CoreTopology &topo = config.topology;
     for (size_t c = 0; c < r.core_stats.size(); ++c) {
         const CoreStats &s = r.core_stats[c];
         std::printf("  %-6zu %-7s %10.3f %10.3f %10.4g\n", c,
-                    static_cast<int>(c) < n_big ? "big" : "little",
+                    topo.cluster(topo.clusterOf(static_cast<int>(c)))
+                        .name.c_str(),
                     s.busy_seconds * 1e3, s.waiting_seconds * 1e3,
                     s.energy);
     }
 
     if (stats) {
-        std::printf("\n%s",
-                    formatStats(configFor(kernel, shape, variant),
-                                r)
-                        .c_str());
+        std::printf("\n%s", formatStats(config, r).c_str());
     }
 
     if (trace) {

@@ -47,14 +47,17 @@ adaptDvfsTable(const Kernel &kernel, SystemShape shape,
     const double v_max = base_config.table_params.v_max;
     // The refinement walks (big-active, little-active) cells, so it is
     // defined for two-cluster shapes only.
-    const CoreTopology topo = base_config.resolvedTopology();
+    const CoreTopology &topo = base_config.topology;
     AAWS_ASSERT(topo.numClusters() == 2,
                 "adaptive tuning requires a two-cluster topology");
-    int n_big = topo.cluster(0).count;
     int n_little = topo.cluster(1).count;
 
+    // The same table the machine would build: designer estimates over
+    // the machine's shape (see Machine's DVFS-table construction).
     AdaptiveReport report{
-        DvfsLookupTable(designer, n_big, n_little), 0, 0, 0, 0, 0, 0, {}};
+        DvfsLookupTable(designer,
+                        topo.retargeted(base_config.table_params)),
+        0, 0, 0, 0, 0, 0, {}};
 
     Eval best = evaluate(kernel, shape, options.variant, report.table);
     report.static_seconds = best.seconds;

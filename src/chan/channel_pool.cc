@@ -32,19 +32,8 @@ ChannelPool::ChannelPool(int threads, const PoolOptions &options,
                          StealKind steal)
     : hooks_(options.hooks), policy_config_(options.policy),
       policy_(sched::makePolicyStack(options.policy)),
-      steal_kind_(steal)
+      steal_kind_(steal), topo_(options.workerTopology(threads))
 {
-    AAWS_ASSERT(threads >= 1, "pool needs at least one worker");
-    if (options.topology.empty()) {
-        int n_big = std::clamp(options.n_big, 0, threads);
-        topo_ = CoreTopology::bigLittle(n_big, threads - n_big,
-                                        ModelParams{});
-    } else {
-        topo_ = options.topology;
-        AAWS_ASSERT(topo_.numCores() == threads,
-                    "pool topology has %d cores for %d workers",
-                    topo_.numCores(), threads);
-    }
     workers_.reserve(threads);
     victims_.reserve(threads);
     for (int i = 0; i < threads; ++i) {

@@ -62,13 +62,6 @@ class DvfsLookupTable
 {
   public:
     /**
-     * Legacy shape: generate the (N_B + 1) x (N_L + 1) big/little
-     * table.  Equivalent to the topology constructor with
-     * CoreTopology::bigLittle(n_big, n_little, model.params()).
-     */
-    DvfsLookupTable(const FirstOrderModel &model, int n_big, int n_little);
-
-    /**
      * Generate the table for an arbitrary topology with the
      * marginal-utility optimizer.
      *
@@ -98,10 +91,6 @@ class DvfsLookupTable
 
     int numClusters() const { return topology_.numClusters(); }
 
-    /** Two-cluster shape accessors (big/little call sites). */
-    int nBig() const;
-    int nLittle() const;
-
     /** Number of entries (prod (count_k + 1); 25 for 4B4L). */
     int size() const { return static_cast<int>(entries_.size()); }
 
@@ -117,6 +106,9 @@ class DvfsLookupTable
     void setEntryAt(int index, const DvfsTableEntry &entry);
 
   private:
+    /** Census index of a two-cluster (ba, la) cell, range-checked. */
+    int twoClusterIndex(int n_big_active, int n_little_active) const;
+
     void generate(const FirstOrderModel &model);
     void generateLegacyBigLittle(const FirstOrderModel &model);
 

@@ -52,15 +52,6 @@ class EnergyAccountant
                      const CoreTopology &topology);
 
     /**
-     * Legacy two-class form: cores listed by CoreType.  Charges through
-     * the same cluster-parameter path as the topology constructor
-     * (big = cluster params of kind 'b', little of kind 'l'), which is
-     * bit-identical to the historical CoreType overloads.
-     */
-    EnergyAccountant(const FirstOrderModel &model,
-                     std::vector<CoreType> core_types);
-
-    /**
      * Record that `core` is in `state` at voltage `v` from time `now`
      * (seconds) onward; the interval since its previous report is charged
      * at the previous setting.  Times must be non-decreasing per core.

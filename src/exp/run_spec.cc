@@ -22,10 +22,6 @@ canonicalSpec(const RunSpec &spec)
     // without overrides hashes identically across engine versions that
     // add new override knobs.
     const SpecOverrides &o = spec.overrides;
-    if (o.n_big)
-        out += strfmt(";n_big=%d", *o.n_big);
-    if (o.n_little)
-        out += strfmt(";n_little=%d", *o.n_little);
     if (o.topology)
         out += ";topology=" + *o.topology;
     if (o.steal_attempt_cycles)
@@ -59,10 +55,6 @@ specHash(const RunSpec &spec)
 void
 applyOverrides(MachineConfig &config, const SpecOverrides &overrides)
 {
-    if (overrides.n_big)
-        config.n_big = *overrides.n_big;
-    if (overrides.n_little)
-        config.n_little = *overrides.n_little;
     if (overrides.topology)
         config.topology = makeTopology(*overrides.topology,
                                        config.app_params);

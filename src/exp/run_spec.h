@@ -47,8 +47,14 @@ namespace exp {
  * (tests/test_topology.cc, the Table III golden), but the bump retires
  * pre-topology records so nothing produced by the old code can be
  * served to the new engine unchecked.
+ *
+ * v6: the legacy n_big/n_little shape overrides were deleted, so a
+ * topology preset is the only way a spec names a machine shape (e.g.
+ * ext_scaling's ";n_big=2;n_little=2" became ";topology=2b2l").  The
+ * results are bit-identical, but the bump keeps a v5 record keyed by a
+ * retired override from ever aliasing a v6 canonical form.
  */
-inline constexpr uint32_t kCacheSchemaVersion = 5;
+inline constexpr uint32_t kCacheSchemaVersion = 6;
 
 /** Default workload-synthesis seed (same as kernels/registry.h). */
 inline constexpr uint64_t kDefaultSeed = 0xA57'5EEDull;
@@ -61,14 +67,11 @@ inline constexpr uint64_t kDefaultSeed = 0xA57'5EEDull;
  */
 struct SpecOverrides
 {
-    /** Machine shape override (ext_scaling's nBmL sweep). */
-    std::optional<int> n_big;
-    std::optional<int> n_little;
     /**
-     * Topology preset name override (ext_asymmetry's cluster sweep,
-     * the --topology= CLI flag).  Parsed against the config's
-     * app_params by parseTopologyName; takes precedence over the
-     * legacy n_big/n_little pair when both are set.
+     * Machine shape override: a topology preset name (ext_scaling's
+     * nBmL sweep, ext_asymmetry's cluster sweep, the --topology= CLI
+     * flag).  Parsed against the config's app_params by
+     * parseTopologyName.
      */
     std::optional<std::string> topology;
     /** Steal-attempt cost in cycles (sens_steal_cost). */
@@ -81,7 +84,7 @@ struct SpecOverrides
     bool
     any() const
     {
-        return n_big || n_little || topology || steal_attempt_cycles ||
+        return topology || steal_attempt_cycles ||
                mug_interrupt_cycles || regulator_ns_per_step;
     }
 };

@@ -78,8 +78,11 @@ struct CoreCluster
 {
     /** Class letter: 'b', 'm', 'l', or 'c' for custom parameters. */
     char kind = 'l';
-    /** Display name ("big", "mid", "little", or caller-provided). */
-    std::string name = "little";
+    /**
+     * Display name ("big", "mid", "little", or caller-provided); left
+     * empty, the CoreTopology constructor derives it from `kind`.
+     */
+    std::string name;
     /** Number of cores in the cluster (>= 1). */
     int count = 0;
     ClusterParams params;
@@ -101,7 +104,7 @@ class CoreTopology
     CoreTopology() = default;
     explicit CoreTopology(std::vector<CoreCluster> clusters);
 
-    /** No clusters: the "use legacy n_big/n_little" sentinel. */
+    /** No clusters (default-constructed): "not set". */
     bool empty() const { return clusters_.empty(); }
 
     int numClusters() const { return static_cast<int>(clusters_.size()); }

@@ -14,28 +14,33 @@ thread_local int tls_worker = -1;
 
 } // namespace
 
+CoreTopology
+PoolOptions::workerTopology(int threads) const
+{
+    AAWS_ASSERT(threads >= 1, "pool needs at least one worker");
+    if (topology.empty()) {
+        // Built directly rather than parsed: hosts can exceed the
+        // preset grammar's 64-core limit.
+        CoreCluster cluster;
+        cluster.count = threads;
+        return CoreTopology({cluster});
+    }
+    AAWS_ASSERT(topology.numCores() == threads,
+                "pool topology has %d cores for %d workers",
+                topology.numCores(), threads);
+    return topology;
+}
+
 WorkerPool::WorkerPool(int threads, SchedulerHooks *hooks)
-    : WorkerPool(threads, PoolOptions{{}, 0, CoreTopology(), hooks})
+    : WorkerPool(threads, PoolOptions{{}, CoreTopology(), hooks})
 {
 }
 
 WorkerPool::WorkerPool(int threads, const PoolOptions &options)
     : hooks_(options.hooks), policy_config_(options.policy),
-      policy_(sched::makePolicyStack(options.policy))
+      policy_(sched::makePolicyStack(options.policy)),
+      topo_(options.workerTopology(threads))
 {
-    AAWS_ASSERT(threads >= 1, "pool needs at least one worker");
-    if (options.topology.empty()) {
-        // Legacy split: the first n_big workers form the fast cluster
-        // (parameters are irrelevant to a native pool).
-        int n_big = std::clamp(options.n_big, 0, threads);
-        topo_ = CoreTopology::bigLittle(n_big, threads - n_big,
-                                        ModelParams{});
-    } else {
-        topo_ = options.topology;
-        AAWS_ASSERT(topo_.numCores() == threads,
-                    "pool topology has %d cores for %d workers",
-                    topo_.numCores(), threads);
-    }
     deques_.reserve(threads);
     hints_ = std::make_unique<HintState[]>(threads);
     victims_.reserve(threads);

@@ -11,13 +11,12 @@
  *
  * Scheduling policy comes from the same `src/sched/` components the
  * simulator runs: `PoolOptions` carries a `sched::PolicyConfig` plus a
- * worker-cluster split (a CoreTopology, or the legacy `n_big` prefix
- * count), and the pool assembles victim selection, the work-biasing
- * steal gate, and the mug trigger from it.  Without hardware
- * preemption, a native "mug" is the policy-directed migration of
- * *queued* work: a starved fast-cluster worker targets the most loaded
- * busy slower worker's deque directly instead of whatever victim
- * selection would pick.
+ * worker-cluster split (a CoreTopology), and the pool assembles victim
+ * selection, the work-biasing steal gate, and the mug trigger from it.
+ * Without hardware preemption, a native "mug" is the policy-directed
+ * migration of *queued* work: a starved fast-cluster worker targets the
+ * most loaded busy slower worker's deque directly instead of whatever
+ * victim selection would pick.
  */
 
 #ifndef AAWS_RUNTIME_WORKER_POOL_H
@@ -47,30 +46,27 @@ class WorkerPool;
  * Scheduling-policy options of a native pool.
  *
  * The defaults reproduce the historical pool behavior exactly: all
- * workers are "little" (n_big = 0), so the work-biasing gate never
- * fires, mugging is off, and victim selection is occupancy-based.
+ * workers form one cluster, so the work-biasing gate never fires,
+ * nobody has a slower cluster to mug, and victim selection is
+ * occupancy-based.
  */
 struct PoolOptions
 {
     /** Policy-component switches (see sched/policy_stack.h). */
     sched::PolicyConfig policy{};
     /**
-     * Workers 0..n_big-1 are treated as big cores by the biasing and
-     * mugging policies (clamped to the worker count).  Zero disables
-     * the asymmetry-aware policies without touching their switches.
-     * Ignored when `topology` is set.
-     */
-    int n_big = 0;
-    /**
-     * Full worker-cluster assignment: worker w belongs to
+     * Worker-cluster assignment: worker w belongs to
      * topology.clusterOf(w).  Must cover exactly the pool's worker
-     * count when non-empty; empty falls back to the two-cluster
-     * `n_big` split.  Only the cluster structure matters to a native
-     * pool — the model parameters inside are never read.
+     * count when non-empty; empty means one homogeneous cluster.  Only
+     * the cluster structure matters to a native pool — the model
+     * parameters inside are never read.
      */
     CoreTopology topology;
     /** Optional activity observer (borrowed; must outlive the pool). */
     SchedulerHooks *hooks = nullptr;
+
+    /** The cluster assignment of a pool of `threads` workers. */
+    CoreTopology workerTopology(int threads) const;
 };
 
 /**
@@ -217,7 +213,7 @@ class WorkerPool : public RuntimeBackend, private sched::SchedView
     std::vector<std::unique_ptr<sched::VictimSelector>> victims_;
     /** Stateless fallback for foreign threads (no own deque). */
     sched::OccupancyVictimSelector foreign_victim_;
-    /** Worker-cluster assignment (options.topology or the n_big split). */
+    /** Worker-cluster assignment (PoolOptions::workerTopology). */
     CoreTopology topo_;
     /**
      * Hint-bit census per cluster (the biasing gate's input).  Array,

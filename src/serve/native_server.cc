@@ -241,6 +241,24 @@ struct alignas(64) WorkerSlot
     std::vector<uint64_t> tenant_completed;
 };
 
+/**
+ * The pool options a serving run uses: the variant's policy stack over
+ * workers 0..n_big-1 as the big cluster (model parameters at their
+ * defaults, which the energy accountant charges), and the caller's
+ * hooks.
+ */
+PoolOptions
+poolOptionsFor(const NativeServeOptions &options)
+{
+    int n_big = std::clamp(options.n_big, 0, options.threads);
+    PoolOptions pool_options;
+    pool_options.policy = policyConfigFor(options.variant);
+    pool_options.topology = CoreTopology::bigLittle(
+        n_big, options.threads - n_big, ModelParams{});
+    pool_options.hooks = options.hooks;
+    return pool_options;
+}
+
 } // namespace
 
 NativeServeResult
@@ -255,19 +273,11 @@ runNativeService(const NativeServeOptions &options)
     std::vector<Request> schedule =
         buildSchedule(spec, options.seed, work);
 
-    int n_big = std::clamp(options.n_big, 0, options.threads);
     FirstOrderModel model;
-    std::vector<CoreType> core_types;
-    for (int w = 0; w < options.threads; ++w)
-        core_types.push_back(w < n_big ? CoreType::big
-                                       : CoreType::little);
-    EnergyAccountant accountant(model, core_types);
+    PoolOptions pool_options = poolOptionsFor(options);
+    EnergyAccountant accountant(model, pool_options.topology);
     EnergyHooks energy_hooks(accountant, model.params(), options.threads,
                              options.hooks);
-
-    PoolOptions pool_options;
-    pool_options.policy = policyConfigFor(options.variant);
-    pool_options.n_big = n_big;
     pool_options.hooks = &energy_hooks;
     std::unique_ptr<RuntimeBackend> backend =
         chan::makeBackend(options.backend, options.threads, pool_options);
@@ -383,10 +393,7 @@ measureNativeServiceSeconds(const NativeServeOptions &options,
     AAWS_ASSERT(reps >= 1, "calibration needs at least one rep");
     AAWS_ASSERT(options.threads >= 1, "pool needs at least one worker");
 
-    PoolOptions pool_options;
-    pool_options.policy = policyConfigFor(options.variant);
-    pool_options.n_big = std::clamp(options.n_big, 0, options.threads);
-    pool_options.hooks = options.hooks;
+    PoolOptions pool_options = poolOptionsFor(options);
     std::unique_ptr<RuntimeBackend> backend =
         chan::makeBackend(options.backend, options.threads, pool_options);
     RuntimeBackend &pool = *backend;

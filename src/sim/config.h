@@ -17,13 +17,12 @@
  * N-cluster topology derives its per-cluster table parameters from the
  * same estimates (CoreTopology::retargeted).
  *
- * Legacy shape fields: `n_big`/`n_little` describe the historical
- * big/little machine and are honored only while `topology` is empty
- * (resolvedTopology() then maps them onto the canonical two-cluster
- * topology, bit-identically to the pre-topology simulator).  Prefer
- * setting `topology`, or use the setShape() adapter instead of writing
- * the deprecated fields directly — setShape() also clears a stale
- * `topology` so the two representations cannot disagree.
+ * One rule ties the shape to the application: the Machine simulates
+ * `topology.retargeted(app_params)`, so preset clusters always run
+ * under the final `app_params` no matter whether the topology or the
+ * application model was set first (configFor picks the Table I preset
+ * before it fills in the kernel's parameters).  Custom ('c') clusters
+ * keep their own parameters.
  */
 
 #ifndef AAWS_SIM_CONFIG_H
@@ -40,20 +39,11 @@ namespace aaws {
 struct MachineConfig
 {
     /**
-     * Machine shape.  Empty (the default) means "legacy big/little":
-     * the machine derives the canonical two-cluster topology from
-     * `n_big`/`n_little` and `app_params`.  Non-empty topologies own
-     * the shape outright and the legacy fields are ignored.
+     * Machine shape, fastest cluster first.  Preset clusters are
+     * re-derived from `app_params` when the machine is built (see
+     * resolvedTopology()).  Defaults to the paper's 4B4L machine.
      */
-    CoreTopology topology;
-    /**
-     * Deprecated legacy shape: number of big (out-of-order-class)
-     * cores, ids 0..n-1.  Read only when `topology` is empty; write
-     * through setShape() rather than directly.
-     */
-    int n_big = 4;
-    /** Deprecated legacy shape: number of little (in-order-class) cores. */
-    int n_little = 4;
+    CoreTopology topology = CoreTopology::bigLittle(4, 4, ModelParams{});
     /** Per-application model (alpha, beta, ipc_little from Table III). */
     ModelParams app_params;
     /** Designer's system-wide model used to build the DVFS table. */
@@ -104,36 +94,13 @@ struct MachineConfig
     const DvfsLookupTable *table_override = nullptr;
 
     /**
-     * Legacy-shape adapter: set a big/little machine.  Clears any
-     * `topology` so the deprecated fields are authoritative again —
-     * the one sanctioned way to write them.
-     */
-    void
-    setShape(int big, int little)
-    {
-        topology = CoreTopology();
-        n_big = big;
-        n_little = little;
-    }
-
-    /**
-     * The topology the machine will actually simulate: `topology`
-     * verbatim when set, otherwise the canonical two-cluster mapping
-     * of the legacy fields (bit-identical to the pre-topology
-     * simulator).
+     * The topology the machine simulates: `topology` with its preset
+     * clusters re-derived from the final `app_params`.
      */
     CoreTopology
     resolvedTopology() const
     {
-        return topology.empty()
-                   ? CoreTopology::bigLittle(n_big, n_little, app_params)
-                   : topology;
-    }
-
-    int
-    numCores() const
-    {
-        return topology.empty() ? n_big + n_little : topology.numCores();
+        return topology.retargeted(app_params);
     }
 
     /**

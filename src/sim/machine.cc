@@ -52,8 +52,7 @@ MachineConfig
 MachineConfig::system4B4L()
 {
     MachineConfig config;
-    config.n_big = 4;
-    config.n_little = 4;
+    config.topology = CoreTopology::bigLittle(4, 4, config.app_params);
     return config;
 }
 
@@ -61,8 +60,7 @@ MachineConfig
 MachineConfig::system1B7L()
 {
     MachineConfig config;
-    config.n_big = 1;
-    config.n_little = 7;
+    config.topology = CoreTopology::bigLittle(1, 7, config.app_params);
     return config;
 }
 

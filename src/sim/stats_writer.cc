@@ -67,10 +67,11 @@ formatStats(const MachineConfig &config, const SimResult &result)
     line(out, "regions.lp_other_seconds", g.lp_other,
          "LP time where mugging is impossible (oLP)");
 
+    const CoreTopology &topo = config.topology;
     for (size_t c = 0; c < result.core_stats.size(); ++c) {
         const CoreStats &stats = result.core_stats[c];
         const char *type =
-            static_cast<int>(c) < config.n_big ? "big" : "little";
+            topo.cluster(topo.clusterOf(static_cast<int>(c))).name.c_str();
         std::string prefix = strfmt("system.core%zu", c);
         line(out, prefix + ".busy_seconds", stats.busy_seconds,
              strfmt("Core %zu (%s) time executing", c, type).c_str());

@@ -163,7 +163,7 @@ shakenReduce(uint64_t seed, StealKind kind)
     ScheduleShaker shaker(seed, threads);
     PoolOptions options;
     options.policy = policyConfigFor(Variant::base_psm);
-    options.n_big = 2;
+    options.topology = CoreTopology::bigLittle(2, 2, ModelParams{});
     options.hooks = &shaker;
     ChannelPool pool(threads, options, kind);
     return parallelReduce(
@@ -207,7 +207,7 @@ TEST(ChanStress, AllVariantsSurviveShaking)
             ScheduleShaker shaker(nthSeed(baseSeed(), round), threads);
             PoolOptions options;
             options.policy = policyConfigFor(variant);
-            options.n_big = 2;
+            options.topology = CoreTopology::bigLittle(2, 2, ModelParams{});
             options.hooks = &shaker;
             ChannelPool pool(threads, options);
             std::atomic<int64_t> count{0};

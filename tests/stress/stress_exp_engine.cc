@@ -62,8 +62,7 @@ sampleBatch()
     specs.push_back(std::move(traced));
     exp::RunSpec scaled("qsort-1", SystemShape::s4B4L,
                         Variant::base_psm);
-    scaled.overrides.n_big = 2;
-    scaled.overrides.n_little = 6;
+    scaled.overrides.topology = "2b6l";
     specs.push_back(std::move(scaled));
     return specs;
 }

@@ -184,7 +184,7 @@ TEST(WorkerPoolStress, PolicyStackPoolSurvivesShaking)
         PoolOptions options;
         options.policy.work_biasing = true;
         options.policy.work_mugging = true;
-        options.n_big = 2;
+        options.topology = CoreTopology::bigLittle(2, 2, ModelParams{});
         options.hooks = &shaker;
         WorkerPool pool(4, options);
         std::atomic<int64_t> sum{0};

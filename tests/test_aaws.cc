@@ -8,6 +8,7 @@
 
 #include "aaws/adaptive.h"
 #include "aaws/experiment.h"
+#include "sim/result_json.h"
 
 namespace aaws {
 namespace {
@@ -148,11 +149,11 @@ TEST(Experiment, SystemShapes)
 {
     Kernel kernel = makeKernel("mis");
     MachineConfig c4 = configFor(kernel, SystemShape::s4B4L, Variant::base);
-    EXPECT_EQ(c4.n_big, 4);
-    EXPECT_EQ(c4.n_little, 4);
+    EXPECT_EQ(c4.topology.cluster(0).count, 4);
+    EXPECT_EQ(c4.topology.cluster(1).count, 4);
     MachineConfig c1 = configFor(kernel, SystemShape::s1B7L, Variant::base);
-    EXPECT_EQ(c1.n_big, 1);
-    EXPECT_EQ(c1.n_little, 7);
+    EXPECT_EQ(c1.topology.cluster(0).count, 1);
+    EXPECT_EQ(c1.topology.cluster(1).count, 7);
     EXPECT_STREQ(systemName(SystemShape::s4B4L), "4B4L");
     EXPECT_STREQ(systemName(SystemShape::s1B7L), "1B7L");
 }
@@ -263,6 +264,27 @@ TEST(Adaptive, AcceptedStepsRecordMonotoneEdp)
     }
 }
 
+TEST(MachineConfig, TopologyFollowsTheFinalAppParams)
+{
+    // configFor picks the Table I preset before it sets the kernel's
+    // app_params, so its topology is built against stale parameters.
+    // The machine re-derives preset clusters from the final app_params:
+    // a topology set before and one set after the parameters must
+    // simulate byte-identically, on the legacy route and off it.
+    Kernel kernel = makeKernel("radix-2");
+    for (const char *name : {"1b7l", "2b2m4l"}) {
+        SCOPED_TRACE(name);
+        MachineConfig stale =
+            configFor(kernel, SystemShape::s1B7L, Variant::base_psm);
+        stale.topology = makeTopology(name, ModelParams{});
+        MachineConfig fresh = stale;
+        fresh.topology = makeTopology(name, fresh.app_params);
+        ASSERT_NE(stale.topology.label(), fresh.topology.label());
+        EXPECT_EQ(simResultToJson(Machine(stale, kernel.dag).run()),
+                  simResultToJson(Machine(fresh, kernel.dag).run()));
+    }
+}
+
 TEST(MachineConfig, TableOverrideIsUsed)
 {
     // An override table with all-nominal voltages must behave like the
@@ -271,7 +293,8 @@ TEST(MachineConfig, TableOverrideIsUsed)
     MachineConfig config =
         configFor(kernel, SystemShape::s4B4L, Variant::base_ps);
     FirstOrderModel designer(config.table_params);
-    DvfsLookupTable flat(designer, 4, 4);
+    DvfsLookupTable flat(designer,
+                         config.topology.retargeted(config.table_params));
     for (int ba = 0; ba <= 4; ++ba)
         for (int la = 0; la <= 4; ++la)
             flat.setEntry(ba, la, DvfsTableEntry::bigLittle(1.0, 1.0, 1.0));
@@ -350,7 +373,7 @@ TEST(WorkMugging, MugRacingTaskCompletionIsAborted)
 
 TEST(WorkMugging, EmptyLittleCoreIsNeverMugged)
 {
-    // Exactly n_big long tasks: the big cores absorb all of them and the
+    // Exactly four long tasks: the four big cores absorb all of them and the
     // littles never hold work.  pickMuggee only considers *running*
     // little cores, so no mug may ever be issued (and certainly none
     // aborted) against the idle littles.

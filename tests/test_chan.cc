@@ -230,7 +230,7 @@ TEST(ChannelPool, AllFiveVariantsRunUnchanged)
     for (Variant variant : allVariants()) {
         PoolOptions options;
         options.policy = policyConfigFor(variant);
-        options.n_big = 2;
+        options.topology = CoreTopology::bigLittle(2, 2, ModelParams{});
         ChannelPool pool(4, options);
         EXPECT_EQ(pool.policyConfig().work_mugging,
                   policyConfigFor(variant).work_mugging);
@@ -245,12 +245,13 @@ TEST(ChannelPool, AllFiveVariantsRunUnchanged)
 TEST(ChannelPool, PacingGovernorAttachesLikeAnyHooks)
 {
     ModelParams params;
-    DvfsLookupTable table(FirstOrderModel(params), 2, 2);
+    DvfsLookupTable table(FirstOrderModel(params),
+                          CoreTopology::bigLittle(2, 2, params));
     sched::PolicyConfig policy = policyConfigFor(Variant::base_ps);
-    PacingGovernor governor(4, 2, policy, table, params);
+    PacingGovernor governor(policy, table, params);
     PoolOptions options;
     options.policy = policy;
-    options.n_big = 2;
+    options.topology = CoreTopology::bigLittle(2, 2, ModelParams{});
     options.hooks = &governor;
     ChannelPool pool(4, options);
     EXPECT_EQ(fib(pool, 18), 2584u);
@@ -264,7 +265,7 @@ TEST(ChannelPool, MuggingIsDeliveredAsMessage)
     ActivityMonitor monitor(4);
     PoolOptions options;
     options.policy = policyConfigFor(Variant::base_psm);
-    options.n_big = 2;
+    options.topology = CoreTopology::bigLittle(2, 2, ModelParams{});
     options.hooks = &monitor;
     ChannelPool pool(4, options);
     EXPECT_EQ(fib(pool, 21), 10946u);

@@ -48,7 +48,8 @@ class TableFixture : public ::testing::Test
 {
   protected:
     FirstOrderModel model_;
-    DvfsLookupTable table_{model_, 4, 4};
+    DvfsLookupTable table_{model_,
+                           CoreTopology::bigLittle(4, 4, model_.params())};
 };
 
 TEST_F(TableFixture, TwentyFiveEntriesFor4B4L)
@@ -106,13 +107,15 @@ TEST_F(TableFixture, SingleActiveBigSprintsToMax)
 
 TEST_F(TableFixture, SetEntryRejectsOutOfRange)
 {
-    DvfsLookupTable table(model_, 4, 4);
+    DvfsLookupTable table(model_,
+                          CoreTopology::bigLittle(4, 4, model_.params()));
     EXPECT_DEATH(table.setEntry(5, 0, DvfsTableEntry{}), "outside");
 }
 
 TEST_F(TableFixture, SetEntryOverwrites)
 {
-    DvfsLookupTable table(model_, 4, 4);
+    DvfsLookupTable table(model_,
+                          CoreTopology::bigLittle(4, 4, model_.params()));
     table.setEntry(2, 3, DvfsTableEntry::bigLittle(1.11, 0.99, 1.2));
     EXPECT_DOUBLE_EQ(table.at(2, 3).vBig(), 1.11);
     EXPECT_DOUBLE_EQ(table.at(2, 3).vLittle(), 0.99);
@@ -121,10 +124,11 @@ TEST_F(TableFixture, SetEntryOverwrites)
 TEST(Table, Shape1B7L)
 {
     FirstOrderModel model;
-    DvfsLookupTable table(model, 1, 7);
+    DvfsLookupTable table(model,
+                          CoreTopology::bigLittle(1, 7, model.params()));
     EXPECT_EQ(table.size(), 16);
-    EXPECT_EQ(table.nBig(), 1);
-    EXPECT_EQ(table.nLittle(), 7);
+    EXPECT_EQ(table.topology().cluster(0).count, 1);
+    EXPECT_EQ(table.topology().cluster(1).count, 7);
 }
 
 class ControllerFixture : public ::testing::Test
@@ -141,7 +145,8 @@ class ControllerFixture : public ::testing::Test
     }
 
     FirstOrderModel model_;
-    DvfsLookupTable table_{model_, 4, 4};
+    DvfsLookupTable table_{model_,
+                           CoreTopology::bigLittle(4, 4, model_.params())};
 };
 
 TEST_F(ControllerFixture, BaselineKeepsEveryoneNominal)

@@ -18,12 +18,13 @@ class AccountantFixture : public ::testing::Test
 {
   protected:
     FirstOrderModel model_;
-    std::vector<CoreType> types_{CoreType::big, CoreType::little};
+    /** Core 0 big, core 1 little. */
+    CoreTopology topo_ = CoreTopology::bigLittle(1, 1, model_.params());
 };
 
 TEST_F(AccountantFixture, ActiveIntervalIntegratesExactly)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, topo_);
     acct.setState(0, 0.0, PowerState::active, 1.0);
     acct.finish(2.0);
     EXPECT_NEAR(acct.coreEnergy(0).active,
@@ -33,7 +34,7 @@ TEST_F(AccountantFixture, ActiveIntervalIntegratesExactly)
 
 TEST_F(AccountantFixture, WaitingIntervalUsesWaitingPower)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, topo_);
     acct.setState(1, 0.0, PowerState::waiting, 0.7);
     acct.finish(3.0);
     EXPECT_NEAR(acct.coreEnergy(1).waiting,
@@ -42,14 +43,14 @@ TEST_F(AccountantFixture, WaitingIntervalUsesWaitingPower)
 
 TEST_F(AccountantFixture, OffIntervalsCostNothing)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, topo_);
     acct.finish(5.0);
     EXPECT_DOUBLE_EQ(acct.totalEnergy(), 0.0);
 }
 
 TEST_F(AccountantFixture, VoltageChangeSplitsTheInterval)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, topo_);
     acct.setState(0, 0.0, PowerState::active, 1.0);
     acct.setState(0, 1.0, PowerState::active, 1.3);
     acct.finish(2.0);
@@ -60,7 +61,7 @@ TEST_F(AccountantFixture, VoltageChangeSplitsTheInterval)
 
 TEST_F(AccountantFixture, MixedStatesAccumulateSeparately)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, topo_);
     acct.setState(0, 0.0, PowerState::active, 1.0);
     acct.setState(0, 1.0, PowerState::waiting, 1.0);
     acct.finish(2.5);
@@ -72,7 +73,7 @@ TEST_F(AccountantFixture, MixedStatesAccumulateSeparately)
 
 TEST_F(AccountantFixture, AveragePowerIsEnergyOverTime)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, topo_);
     acct.setState(0, 0.0, PowerState::active, 1.0);
     acct.setState(1, 0.0, PowerState::active, 1.0);
     acct.finish(4.0);
@@ -84,7 +85,7 @@ TEST_F(AccountantFixture, AveragePowerIsEnergyOverTime)
 
 TEST_F(AccountantFixture, WaitingEnergyAggregatesAcrossCores)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, topo_);
     acct.setState(0, 0.0, PowerState::waiting, 1.0);
     acct.setState(1, 0.0, PowerState::waiting, 1.0);
     acct.finish(1.0);
@@ -96,7 +97,7 @@ TEST_F(AccountantFixture, WaitingEnergyAggregatesAcrossCores)
 
 TEST_F(AccountantFixture, TimeGoingBackwardsPanics)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, topo_);
     acct.setState(0, 1.0, PowerState::active, 1.0);
     EXPECT_DEATH(acct.setState(0, 0.5, PowerState::active, 1.0),
                  "backwards");

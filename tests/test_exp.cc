@@ -118,10 +118,10 @@ TEST(RunSpec, CanonicalFormCoversEveryField)
     EXPECT_NE(canonical.find("variant=base+psm"), std::string::npos);
     // Unset overrides stay out of the canonical form so hashes remain
     // stable when new override knobs are added.
-    EXPECT_EQ(canonical.find("n_big"), std::string::npos);
+    EXPECT_EQ(canonical.find("steal_attempt_cycles"), std::string::npos);
 
-    spec.overrides.n_big = 8;
-    EXPECT_NE(exp::canonicalSpec(spec).find("n_big=8"),
+    spec.overrides.steal_attempt_cycles = 8;
+    EXPECT_NE(exp::canonicalSpec(spec).find("steal_attempt_cycles=8"),
               std::string::npos);
 }
 
@@ -146,7 +146,7 @@ TEST(RunSpec, TopologyOverrideEntersCanonicalFormOnlyWhenSet)
     // applyOverrides resolves the preset into the machine config.
     Kernel kernel = makeKernel(spec.kernel, spec.seed);
     MachineConfig config = exp::configForSpec(kernel, spec);
-    EXPECT_FALSE(config.topology.empty());
+    EXPECT_EQ(config.topology.name(), "2b2m4l");
     EXPECT_EQ(config.topology.numClusters(), 3);
     EXPECT_EQ(config.resolvedTopology().numCores(), 8);
 }
@@ -890,12 +890,13 @@ TEST(RunSpec, CacheSchemaCoversServeDimension)
 {
     // v3 made the serving fields spec-addressable; v4 retired every
     // record of the pre-batching engine; v5 retired pre-topology
-    // records (see kCacheSchemaVersion).  A tree that adds spec
-    // dimensions or execution paths without bumping this would alias
-    // stale entries (alias-miss test below).
-    EXPECT_EQ(exp::kCacheSchemaVersion, 5u);
+    // records; v6 retired the n_big/n_little shape overrides (see
+    // kCacheSchemaVersion).  A tree that adds spec dimensions or
+    // execution paths without bumping this would alias stale entries
+    // (alias-miss test below).
+    EXPECT_EQ(exp::kCacheSchemaVersion, 6u);
     std::string closed = exp::canonicalSpec(sampleSpec());
-    EXPECT_NE(closed.find("aaws-exp/v5"), std::string::npos);
+    EXPECT_NE(closed.find("aaws-exp/v6"), std::string::npos);
     // Closed-loop specs stay serve-free so their hashes are stable.
     EXPECT_EQ(closed.find("serve."), std::string::npos);
 
@@ -1000,9 +1001,11 @@ TEST(ResultCache, PreServeSchemaRecordReadsAsMiss)
     exp::RunSpec closed = serveSpecSample();
     closed.serve.reset();
     std::string v2_canonical = exp::canonicalSpec(closed);
-    size_t tag = v2_canonical.find("aaws-exp/v5");
+    const std::string current =
+        "aaws-exp/v" + std::to_string(exp::kCacheSchemaVersion);
+    size_t tag = v2_canonical.find(current);
     ASSERT_NE(tag, std::string::npos);
-    v2_canonical.replace(tag, 11, "aaws-exp/v2");
+    v2_canonical.replace(tag, current.size(), "aaws-exp/v2");
     {
         std::ofstream out(cache.pathFor(spec),
                           std::ios::binary | std::ios::trunc);

@@ -206,7 +206,10 @@ TEST(Eq4Power, AccountantAgreesOnConstantPowerTrace)
     FirstOrderModel model;
     for (CoreType type : {CoreType::big, CoreType::little}) {
         for (double v : {0.7, 1.0, 1.3}) {
-            EnergyAccountant acc(model, {type});
+            bool big = type == CoreType::big;
+            EnergyAccountant acc(
+                model, CoreTopology::bigLittle(big ? 1 : 0, big ? 0 : 1,
+                                               model.params()));
             acc.setState(0, 0.0, PowerState::active, v);
             acc.finish(2.5);
             double want = model.activePower(type, v) * 2.5;
@@ -228,7 +231,7 @@ TEST(Eq4Power, AccountantAgreesOnPiecewiseConstantTrace)
     FirstOrderModel model;
     const ModelParams &p = model.params();
     EnergyAccountant acc(model,
-                         {CoreType::big, CoreType::little});
+                         CoreTopology::bigLittle(1, 1, model.params()));
 
     acc.setState(0, 0.0, PowerState::active, p.v_nom);
     acc.setState(0, 1.0, PowerState::waiting, p.v_min);

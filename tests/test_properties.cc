@@ -189,8 +189,8 @@ TEST_P(ShapeSweep, AllVariantsCompleteAndAccount)
     TaskDag dag = workload();
     for (Variant v : allVariants()) {
         MachineConfig config;
-        config.n_big = n_big;
-        config.n_little = n_little;
+        config.topology =
+            CoreTopology::bigLittle(n_big, n_little, config.app_params);
         applyVariant(config, v);
         SimResult r = Machine(config, dag).run();
         EXPECT_GT(r.exec_seconds, 0.0) << variantName(v);
@@ -209,15 +209,23 @@ TEST_P(ShapeSweep, AllVariantsCompleteAndAccount)
 TEST_P(ShapeSweep, MoreBigCoresNeverSlower)
 {
     auto [n_big, n_little] = GetParam();
-    if (n_big + n_little >= 8)
-        GTEST_SKIP() << "only meaningful for upgradable shapes";
+    // Known list-scheduling anomaly on this 24-task workload: 4B4L ->
+    // 5B4L runs 0.003335 s -> 0.003455 s (1.036x) and 6B2L -> 7B2L
+    // 0.003095 s -> 0.003215 s (1.039x).  3B6L, 5B4L and 7B2L all
+    // finish at exactly 0.003215 s: past three big cores the makespan
+    // of these 24 tasks is set by how they pack onto the cores, not by
+    // how many of the cores are big.
+    if ((n_big == 4 && n_little == 4) || (n_big == 6 && n_little == 2))
+        GTEST_SKIP() << "known anomaly: one more big core is 1.036x "
+                        "(4B4L) / 1.039x (6B2L) slower on this workload";
     TaskDag dag = workload();
     MachineConfig small;
-    small.n_big = n_big;
-    small.n_little = n_little;
+    small.topology =
+        CoreTopology::bigLittle(n_big, n_little, small.app_params);
     applyVariant(small, Variant::base);
     MachineConfig bigger = small;
-    bigger.n_big = n_big + 1;
+    bigger.topology =
+        CoreTopology::bigLittle(n_big + 1, n_little, bigger.app_params);
     SimResult a = Machine(small, dag).run();
     SimResult b = Machine(bigger, dag).run();
     EXPECT_LE(b.exec_seconds, a.exec_seconds * 1.001);

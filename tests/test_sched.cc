@@ -335,22 +335,19 @@ TEST(MugTrigger, PhaseMuggeeIsTheFirstIdleBigCore)
 
 TEST(ActivityCensus, IncrementalMatchesRecountUnderRandomTransitions)
 {
-    const int n_big = 3, n_little = 5;
-    std::vector<int> cluster_of;
-    for (int i = 0; i < n_big + n_little; ++i) {
-        cluster_of.push_back(i < n_big ? 0 : 1);
-    }
+    const CoreTopology topo = CoreTopology::bigLittle(3, 5, ModelParams{});
+    const std::vector<int> &cluster_of = topo.coreClusters();
     std::vector<bool> active(cluster_of.size(), false);
-    sched::ActivityCensus incremental(n_big, n_little);
-    sched::ActivityCensus recounted(n_big, n_little);
+    sched::ActivityCensus incremental(topo);
+    sched::ActivityCensus recounted(topo);
     std::mt19937 rng(42);
     for (int step = 0; step < 2000; ++step) {
         int c = static_cast<int>(rng() % cluster_of.size());
         active[c] = !active[c];
         incremental.note(cluster_of[c], active[c]);
         recounted.recount(active, cluster_of);
-        ASSERT_EQ(incremental.bigActive(), recounted.bigActive());
-        ASSERT_EQ(incremental.littleActive(), recounted.littleActive());
+        ASSERT_EQ(incremental.clusterActive(0), recounted.clusterActive(0));
+        ASSERT_EQ(incremental.clusterActive(1), recounted.clusterActive(1));
         ASSERT_EQ(incremental.allBigActive(), recounted.allBigActive());
         ASSERT_EQ(incremental.allActive(), recounted.allActive());
     }
@@ -358,7 +355,8 @@ TEST(ActivityCensus, IncrementalMatchesRecountUnderRandomTransitions)
 
 TEST(ActivityCensus, BootsAllActiveWhenAsked)
 {
-    sched::ActivityCensus census(2, 6, /*all_active=*/true);
+    sched::ActivityCensus census(CoreTopology::bigLittle(2, 6, ModelParams{}),
+                                 /*all_active=*/true);
     EXPECT_TRUE(census.allActive());
     EXPECT_EQ(census.active(), 8);
     census.note(/*cluster=*/0, false);
@@ -453,7 +451,7 @@ TEST(PoolPolicy, VariantStacksSwitchAtRuntime)
     for (Variant v : allVariants()) {
         PoolOptions options;
         options.policy = policyConfigFor(v);
-        options.n_big = 2;
+        options.topology = CoreTopology::bigLittle(2, 2, ModelParams{});
         WorkerPool pool(4, options);
         EXPECT_EQ(checksumRun(pool, n), expect) << variantName(v);
         EXPECT_EQ(pool.policyConfig().work_mugging,
@@ -474,9 +472,10 @@ TEST(PoolPolicy, RandomVictimPoolExecutesCorrectly)
 TEST(PoolPolicy, DefaultOptionsPreserveLegacyBehavior)
 {
     PoolOptions options;
-    EXPECT_EQ(options.n_big, 0);
+    EXPECT_TRUE(options.topology.empty());
+    EXPECT_EQ(options.workerTopology(3).numClusters(), 1);
     EXPECT_FALSE(options.policy.work_mugging);
-    // n_big = 0 makes the biasing gate vacuous: everyone may steal.
+    // One cluster makes the biasing gate vacuous: everyone may steal.
     WorkerPool pool(3, options);
     EXPECT_EQ(pool.mugAttempts(), 0u);
     const int64_t n = 1 << 14;
@@ -491,7 +490,7 @@ TEST(PoolPolicy, StarvedBigWorkerAttemptsMugs)
     // failed steals must escalate to mug-targeted attempts.
     PoolOptions options;
     options.policy = policyConfigFor(Variant::base_m);
-    options.n_big = 1;
+    options.topology = CoreTopology::bigLittle(1, 3, ModelParams{});
     ActivityMonitor monitor(4);
     options.hooks = &monitor;
     WorkerPool pool(4, options);
@@ -534,7 +533,7 @@ class GovernorTest : public ::testing::Test
 {
   protected:
     GovernorTest()
-        : table_(FirstOrderModel(mp_), 1, 3)
+        : table_(FirstOrderModel(mp_), CoreTopology::bigLittle(1, 3, mp_))
     {
     }
 
@@ -544,8 +543,7 @@ class GovernorTest : public ::testing::Test
 
 TEST_F(GovernorTest, BootDecisionPacesTheFullyActiveMachine)
 {
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_p), table_,
-                       mp_);
+    PacingGovernor gov(policyConfigFor(Variant::base_p), table_, mp_);
     // All hint bits boot active, so work-pacing applies the full cell.
     const DvfsTableEntry &entry = table_.at(1, 3);
     EXPECT_DOUBLE_EQ(gov.decision(0).voltage, entry.vBig());
@@ -556,8 +554,7 @@ TEST_F(GovernorTest, BootDecisionPacesTheFullyActiveMachine)
 
 TEST_F(GovernorTest, PacingOnlyGovernorGoesNominalWhenAWorkerRests)
 {
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_p), table_,
-                       mp_);
+    PacingGovernor gov(policyConfigFor(Variant::base_p), table_, mp_);
     gov.onWorkerWaiting(2);
     EXPECT_EQ(gov.activeWorkers(), 3);
     // base+p has no work-sprinting: partial activity is all-nominal.
@@ -567,8 +564,7 @@ TEST_F(GovernorTest, PacingOnlyGovernorGoesNominalWhenAWorkerRests)
 
 TEST_F(GovernorTest, SprintingGovernorRestsWaitersAndSprintsActives)
 {
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_ps), table_,
-                       mp_);
+    PacingGovernor gov(policyConfigFor(Variant::base_ps), table_, mp_);
     gov.onWorkerWaiting(2);
     const DvfsTableEntry &entry = table_.at(1, 2);
     EXPECT_DOUBLE_EQ(gov.decision(2).voltage, mp_.v_min);
@@ -585,8 +581,7 @@ TEST_F(GovernorTest, SprintingGovernorRestsWaitersAndSprintsActives)
 
 TEST_F(GovernorTest, RedundantTransitionsDoNotDoubleCount)
 {
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_ps), table_,
-                       mp_);
+    PacingGovernor gov(policyConfigFor(Variant::base_ps), table_, mp_);
     uint64_t rounds = gov.decisionRounds();
     gov.onWorkerActive(1); // already active: census unchanged
     EXPECT_EQ(gov.decisionRounds(), rounds);
@@ -599,11 +594,11 @@ TEST_F(GovernorTest, RedundantTransitionsDoNotDoubleCount)
 TEST_F(GovernorTest, GovernsALivePoolAndForwardsDownstream)
 {
     ActivityMonitor monitor(4);
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_ps), table_,
-                       mp_, &monitor);
+    PacingGovernor gov(policyConfigFor(Variant::base_ps), table_, mp_,
+                       &monitor);
     PoolOptions options;
     options.policy = policyConfigFor(Variant::base_ps);
-    options.n_big = 1;
+    options.topology = CoreTopology::bigLittle(1, 3, ModelParams{});
     options.hooks = &gov;
     WorkerPool pool(4, options);
     const int64_t n = 1 << 16;

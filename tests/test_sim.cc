@@ -23,8 +23,8 @@ MachineConfig
 plainConfig(int n_big = 4, int n_little = 4)
 {
     MachineConfig config;
-    config.n_big = n_big;
-    config.n_little = n_little;
+    config.topology = CoreTopology::bigLittle(n_big, n_little,
+                                              config.app_params);
     config.policy.work_pacing = false;
     config.policy.work_sprinting = false;
     config.policy.serial_sprinting = false;
@@ -578,6 +578,36 @@ TEST(StatsWriter, ValuesRoundTripTheResult)
                                 static_cast<double>(
                                     result.tasks_executed));
     EXPECT_NE(stats.find(needle), std::string::npos) << stats;
+}
+
+TEST(StatsWriter, LabelsCoresByTheirCluster)
+{
+    // Labels follow the configured topology: 1b7l has a single big
+    // core, and 2b2m4l's middle cluster is "mid".
+    const struct
+    {
+        const char *topology;
+        std::vector<const char *> labels;
+    } cases[] = {
+        {"1b7l",
+         {"big", "little", "little", "little", "little", "little",
+          "little", "little"}},
+        {"2b2m4l",
+         {"big", "big", "mid", "mid", "little", "little", "little",
+          "little"}},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.topology);
+        MachineConfig config = plainConfig();
+        config.topology = makeTopology(c.topology, config.app_params);
+        SimResult result = Machine(config, forkJoinDag(8, 100'000)).run();
+        std::string stats = formatStats(config, result);
+        for (size_t core = 0; core < c.labels.size(); ++core) {
+            std::string needle = strfmt("# Core %zu (%s) time executing",
+                                        core, c.labels[core]);
+            EXPECT_NE(stats.find(needle), std::string::npos) << needle;
+        }
+    }
 }
 
 TEST(RegionTrackerUnit, ClassifiesEveryCategory)

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "dvfs/controller.h"
 #include "dvfs/lookup_table.h"
@@ -117,6 +118,15 @@ TEST(TopologyParse, PresetsMatchTheLegacyAdapters)
         CoreTopology topo;
         EXPECT_TRUE(parseTopologyName(name, mp, topo));
         EXPECT_EQ(topo.name(), name);
+    }
+
+    // ext_scaling's "NbNl" shapes parse to exactly the legacy adapter,
+    // so they keep the two-type DVFS-table route.
+    for (int n : {1, 2, 4, 6, 8}) {
+        SCOPED_TRACE(n);
+        CoreTopology parsed = makeTopology(strfmt("%db%dl", n, n), mp);
+        EXPECT_EQ(parsed.label(), CoreTopology::bigLittle(n, n, mp).label());
+        EXPECT_TRUE(parsed.isLegacyBigLittle(mp));
     }
 }
 
