@@ -18,6 +18,7 @@
 #include "kernels/registry.h"
 #include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
+#include "serve/spec.h"
 
 namespace aaws {
 namespace exp {
@@ -147,7 +148,9 @@ class ProgressReporter
  * Per-batch kernel memo: a sweep simulates the same (kernel, seed) DAG
  * under many configs, so each unique pair is generated at most once per
  * batch -- lazily, on the first cache miss that needs it -- and the
- * sealed, immutable DAG is shared by every concurrent simulation.
+ * sealed, immutable DAG is shared by every concurrent simulation.  A
+ * closed-loop spec needs (kernel, seed); a serving spec needs its
+ * service-table samples' (kernel, deriveSeed(seed, k)).
  */
 class KernelPool
 {
@@ -156,16 +159,22 @@ class KernelPool
     {
         // Pre-create every slot serially so workers never mutate the
         // map; they only resolve keys and race on the per-slot once.
-        for (const RunSpec &spec : specs)
-            slots_[{spec.kernel, spec.seed}];
+        for (const RunSpec &spec : specs) {
+            if (!spec.serve) {
+                slots_[{spec.kernel, spec.seed}];
+                continue;
+            }
+            for (uint32_t k = 0; k < spec.serve->service_samples; ++k)
+                slots_[{spec.kernel, serve::deriveSeed(spec.seed, k)}];
+        }
     }
 
     const Kernel &
-    get(const RunSpec &spec)
+    get(const std::string &name, uint64_t seed)
     {
-        Slot &slot = slots_.at({spec.kernel, spec.seed});
+        Slot &slot = slots_.at({name, seed});
         std::call_once(slot.once, [&] {
-            slot.kernel.emplace(makeKernel(spec.kernel, spec.seed));
+            slot.kernel.emplace(makeKernel(name, seed));
         });
         return *slot.kernel;
     }
@@ -178,6 +187,70 @@ class KernelPool
     };
 
     std::map<std::pair<std::string, uint64_t>, Slot> slots_;
+};
+
+/**
+ * Per-batch service-table memo: a serving sweep runs many arrival
+ * processes against few tables, and a table depends only on the spec's
+ * closed-loop canonical form and service_samples (buildServiceTable).
+ * Each distinct table is built at most once per batch, from the
+ * batch's KernelPool, and shared read-only by every serving spec that
+ * needs it.
+ */
+class ServiceTables
+{
+  public:
+    ServiceTables(const std::vector<RunSpec> &specs, KernelPool &kernels)
+        : kernels_(kernels)
+    {
+        for (const RunSpec &spec : specs)
+            if (spec.serve)
+                slots_[key(spec)];
+    }
+
+    const std::vector<serve::ServiceSample> &
+    get(const RunSpec &spec)
+    {
+        Slot &slot = slots_.at(key(spec));
+        std::call_once(slot.once, [&] {
+            slot.table = buildServiceTable(
+                spec, [&](uint64_t seed) -> const Kernel & {
+                    return kernels_.get(spec.kernel, seed);
+                });
+        });
+        return slot.table;
+    }
+
+    /** Machine runs spent on the tables built so far. */
+    uint64_t
+    runs() const
+    {
+        uint64_t total = 0;
+        for (const auto &[key, slot] : slots_)
+            total += slot.table.size();
+        return total;
+    }
+
+  private:
+    struct Slot
+    {
+        std::once_flag once;
+        std::vector<serve::ServiceSample> table;
+    };
+
+    /** Tables are sampled untraced, so tracing is not part of the key. */
+    static std::string
+    key(const RunSpec &spec)
+    {
+        RunSpec closed = spec;
+        closed.serve.reset();
+        closed.collect_trace = false;
+        return canonicalSpec(closed) +
+               strfmt(";samples=%u", spec.serve->service_samples);
+    }
+
+    KernelPool &kernels_;
+    std::map<std::string, Slot> slots_;
 };
 
 /**
@@ -290,10 +363,11 @@ writeBenchJson(const std::string &path, const std::string &bench_name,
     out += strfmt(",\"sim_events\":%llu",
                   static_cast<unsigned long long>(stats.sim_events));
     out += strfmt(",\"units\":%llu,\"fork_runs\":%llu,"
-                  "\"cloned_results\":%llu",
+                  "\"cloned_results\":%llu,\"service_runs\":%llu",
                   static_cast<unsigned long long>(stats.units),
                   static_cast<unsigned long long>(stats.fork_runs),
-                  static_cast<unsigned long long>(stats.cloned_results));
+                  static_cast<unsigned long long>(stats.cloned_results),
+                  static_cast<unsigned long long>(stats.service_runs));
     out += ",\"sims_per_second\":" +
            json::encodeDouble(static_cast<double>(stats.misses) / elapsed);
     out += ",\"events_per_second\":" +
@@ -323,6 +397,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
     std::atomic<uint64_t> cloned_results{0};
     ProgressReporter progress(options.progress, specs.size());
     KernelPool kernels(specs);
+    ServiceTables tables(specs, kernels);
 
     // Pass 1 (serial): resolve cache hits and collect the miss set.
     // Grouping needs the full hit/miss split up front, and the lookups
@@ -381,7 +456,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         // the event index at which the swept knob is first read.
         const size_t ref_idx = unit.indices[0];
         const RunSpec &ref_spec = specs[ref_idx];
-        const Kernel &kernel = kernels.get(ref_spec);
+        const Kernel &kernel = kernels.get(ref_spec.kernel, ref_spec.seed);
         const MachineConfig ref_config = configForSpec(kernel, ref_spec);
         Machine reference(ref_config, kernel.dag);
         RunResult ref_result;
@@ -408,7 +483,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
             // Knob read at boot (no shareable prefix) or the prefix is
             // too short to pay for the replay: plain runs.
             for (size_t i : rest)
-                record(i, executeSpec(specs[i], kernels.get(specs[i])));
+                record(i, executeSpec(specs[i], kernel));
             return;
         }
 
@@ -435,8 +510,12 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
             runFork(unit);
             return;
         }
-        const size_t i = unit.indices[0];
-        record(i, executeSpec(specs[i], kernels.get(specs[i])));
+        const RunSpec &spec = specs[unit.indices[0]];
+        if (spec.serve)
+            record(unit.indices[0], executeServing(spec, tables.get(spec)));
+        else
+            record(unit.indices[0],
+                   executeSpec(spec, kernels.get(spec.kernel, spec.seed)));
     };
 
     if (jobs <= 1 || units.size() <= 1) {
@@ -461,6 +540,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
     stats.units = units.size();
     stats.fork_runs = fork_runs.load(std::memory_order_relaxed);
     stats.cloned_results = cloned_results.load(std::memory_order_relaxed);
+    stats.service_runs = tables.runs();
     progress.summary(stats);
     if (options.time_report) {
         double elapsed =

@@ -19,6 +19,12 @@
  * the remaining results are clones of the reference (the run provably
  * cannot depend on the knob).
  *
+ * Serving specs are single units too.  Their service tables are
+ * memoized per batch: each distinct table (closed-loop canonical form
+ * plus service_samples) is built once, from the batch's kernel memo,
+ * and every serving spec that needs it runs its queue against the
+ * shared copy.  BatchStats::service_runs counts the Machine runs spent.
+ *
  * Forks and clones produce results bit-identical to plain
  * Machine::run (DESIGN.md §10; enforced by the stress fuzz), so
  * batching changes wall-clock, never output.
@@ -105,6 +111,12 @@ struct BatchStats
      * knob was never read (the run provably cannot depend on it).
      */
     uint64_t cloned_results = 0;
+    /**
+     * Machine runs spent building serving specs' service tables.  Each
+     * distinct table is built once per batch and shared by every
+     * serving spec that needs it.
+     */
+    uint64_t service_runs = 0;
 };
 
 /**

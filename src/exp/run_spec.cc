@@ -75,9 +75,32 @@ configForSpec(const Kernel &kernel, const RunSpec &spec)
     return config;
 }
 
+namespace {
+
+/** A result labelled with the spec's kernel, shape and variant. */
+RunResult
+labelledResult(const RunSpec &spec, SimResult sim)
+{
+    RunResult result;
+    result.kernel = spec.kernel;
+    result.system = spec.system;
+    result.variant = spec.variant;
+    result.sim = std::move(sim);
+    return result;
+}
+
+} // namespace
+
 RunResult
 executeSpec(const RunSpec &spec)
 {
+    if (spec.serve) {
+        std::optional<Kernel> sample;
+        auto generate = [&](uint64_t seed) -> const Kernel & {
+            return sample.emplace(makeKernel(spec.kernel, seed));
+        };
+        return executeServing(spec, buildServiceTable(spec, generate));
+    }
     Kernel kernel = makeKernel(spec.kernel, spec.seed);
     return executeSpec(spec, kernel);
 }
@@ -85,22 +108,35 @@ executeSpec(const RunSpec &spec)
 RunResult
 executeSpec(const RunSpec &spec, const Kernel &kernel)
 {
-    RunResult result;
-    result.kernel = spec.kernel;
-    result.system = spec.system;
-    result.variant = spec.variant;
-    if (spec.serve) {
-        // Serving runs re-derive their own kernel instances (one per
-        // service-table sample, each under a derived seed), so the
-        // batch-memoized kernel is not used here.
-        result.sim = serve::simulateService(spec.kernel, spec.system,
-                                            spec.variant, spec.seed,
-                                            *spec.serve);
-        return result;
-    }
+    AAWS_ASSERT(!spec.serve, "serving specs run through executeServing");
     MachineConfig config = configForSpec(kernel, spec);
-    result.sim = Machine(config, kernel.dag).run();
-    return result;
+    return labelledResult(spec, Machine(config, kernel.dag).run());
+}
+
+std::vector<serve::ServiceSample>
+buildServiceTable(const RunSpec &spec, const SampleKernels &kernel_at)
+{
+    AAWS_ASSERT(spec.serve, "service tables belong to serving specs");
+    const uint32_t samples = spec.serve->service_samples;
+    AAWS_ASSERT(samples >= 1, "service table needs at least one sample");
+    std::vector<serve::ServiceSample> table;
+    table.reserve(samples);
+    for (uint32_t k = 0; k < samples; ++k) {
+        const Kernel &kernel = kernel_at(serve::deriveSeed(spec.seed, k));
+        MachineConfig config = configForSpec(kernel, spec);
+        config.collect_trace = false;
+        table.push_back(
+            serve::serviceSampleOf(Machine(config, kernel.dag).run()));
+    }
+    return table;
+}
+
+RunResult
+executeServing(const RunSpec &spec,
+               const std::vector<serve::ServiceSample> &table)
+{
+    return labelledResult(
+        spec, serve::simulateService(table, spec.seed, *spec.serve));
 }
 
 std::string

@@ -14,11 +14,14 @@
 #define AAWS_EXP_RUN_SPEC_H
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "aaws/experiment.h"
 #include "common/json.h"
+#include "serve/sim_server.h"
 #include "serve/spec.h"
 
 namespace aaws {
@@ -53,8 +56,13 @@ namespace exp {
  * ext_scaling's ";n_big=2;n_little=2" became ";topology=2b2l").  The
  * results are bit-identical, but the bump keeps a v5 record keyed by a
  * retired override from ever aliasing a v6 canonical form.
+ *
+ * v7: serving specs honor their SpecOverrides.  The canonical form
+ * always keyed serving specs on the overrides, but the service table
+ * was sampled from the bare SystemShape config, so a v6 serving record
+ * keyed by an override holds an override-free result.
  */
-inline constexpr uint32_t kCacheSchemaVersion = 6;
+inline constexpr uint32_t kCacheSchemaVersion = 7;
 
 /** Default workload-synthesis seed (same as kernels/registry.h). */
 inline constexpr uint64_t kDefaultSeed = 0xA57'5EEDull;
@@ -114,8 +122,8 @@ struct RunSpec
      * Both are bit-identical to a plain run, so the hint is not part
      * of the canonical form; it exists for callers that want a spec
      * pinned to the plain path (A/B timing, bug triage).
-     * Serving specs ignore it (the request-level simulation has its
-     * own driver).
+     * Serving specs ignore it (their service tables are memoized per
+     * batch regardless; see buildServiceTable).
      */
     bool batchable = true;
     /**
@@ -145,17 +153,41 @@ void applyOverrides(MachineConfig &config, const SpecOverrides &overrides);
 /** configFor() + overrides: the exact config executeSpec() simulates. */
 MachineConfig configForSpec(const Kernel &kernel, const RunSpec &spec);
 
-/** Run the simulation a spec describes (no caching at this layer). */
+/**
+ * Run the simulation a spec describes (no caching at this layer): the
+ * plain reference path, generating every kernel it needs afresh.
+ */
 RunResult executeSpec(const RunSpec &spec);
 
 /**
- * Same, against an already-instantiated kernel (must be the product of
- * makeKernel(spec.kernel, spec.seed)).  The engine memoizes kernels per
- * batch -- a sweep simulates each (kernel, seed) DAG many times under
- * different configs -- and sealed DAGs are safely shared across
- * concurrently running simulations.
+ * Same, for a closed-loop spec, against an already-instantiated kernel
+ * (must be the product of makeKernel(spec.kernel, spec.seed)).  The
+ * engine memoizes kernels per batch -- a sweep simulates each (kernel,
+ * seed) DAG many times under different configs -- and sealed DAGs are
+ * safely shared across concurrently running simulations.
  */
 RunResult executeSpec(const RunSpec &spec, const Kernel &kernel);
+
+/**
+ * Where a service table's sample kernels come from: the product of
+ * makeKernel(spec.kernel, seed), generated afresh or memoized.  The
+ * reference need only stay valid until the next call.
+ */
+using SampleKernels = std::function<const Kernel &(uint64_t seed)>;
+
+/**
+ * A serving spec's service table: sample k (k < service_samples) is one
+ * untraced Machine run of the kernel at serve::deriveSeed(spec.seed, k)
+ * under configForSpec(), overrides included.  A pure function of the
+ * spec's closed-loop canonical form and service_samples, never of the
+ * arrival process, so a batch builds each distinct table once.
+ */
+std::vector<serve::ServiceSample>
+buildServiceTable(const RunSpec &spec, const SampleKernels &kernel_at);
+
+/** A serving spec's result: its request-level queue over `table`. */
+RunResult executeServing(const RunSpec &spec,
+                         const std::vector<serve::ServiceSample> &table);
 
 // --- RunResult JSON round-tripping --------------------------------------
 

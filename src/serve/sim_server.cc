@@ -9,6 +9,16 @@
 namespace aaws {
 namespace serve {
 
+ServiceSample
+serviceSampleOf(const SimResult &run)
+{
+    ServiceSample sample;
+    sample.seconds = run.exec_seconds;
+    sample.energy = run.energy;
+    sample.instructions = run.instructions;
+    return sample;
+}
+
 std::vector<ServiceSample>
 sampleServiceTable(const std::string &kernel, SystemShape shape,
                    Variant variant, uint64_t seed, uint32_t samples)
@@ -18,12 +28,8 @@ sampleServiceTable(const std::string &kernel, SystemShape shape,
     table.reserve(samples);
     for (uint32_t k = 0; k < samples; ++k) {
         Kernel instance = makeKernel(kernel, deriveSeed(seed, k));
-        RunResult run = runKernel(instance, shape, variant);
-        ServiceSample sample;
-        sample.seconds = run.sim.exec_seconds;
-        sample.energy = run.sim.energy;
-        sample.instructions = run.sim.instructions;
-        table.push_back(sample);
+        table.push_back(
+            serviceSampleOf(runKernel(instance, shape, variant).sim));
     }
     return table;
 }
@@ -37,16 +43,6 @@ meanServiceSeconds(const std::vector<ServiceSample> &table)
     for (const ServiceSample &sample : table)
         sum += sample.seconds;
     return sum / static_cast<double>(table.size());
-}
-
-SimResult
-simulateService(const std::string &kernel, SystemShape shape,
-                Variant variant, uint64_t seed, const ServeSpec &spec)
-{
-    return simulateService(
-        sampleServiceTable(kernel, shape, variant, seed,
-                           spec.service_samples),
-        seed, spec);
 }
 
 SimResult

@@ -14,7 +14,10 @@
  *     simulated execution time, energy, and instruction count of one
  *     whole kernel-DAG request — all of the AAWS machinery (pacing,
  *     sprinting, mugging, DVFS) is priced into these numbers by the
- *     cycle-approximate simulator itself.
+ *     cycle-approximate simulator itself.  The experiment engine
+ *     builds a spec's table with exp::buildServiceTable (the spec's
+ *     full machine config, overrides included) and shares it across
+ *     every serving spec of a batch that needs the same table.
  *  2. Request-level DES: tenant arrival streams (serve/arrival.h) feed
  *     a FCFS single-server queue — the machine serves one DAG at a
  *     time, exactly like the closed-loop runs — with a bounded
@@ -50,6 +53,9 @@ struct ServiceSample
     uint64_t instructions = 0;
 };
 
+/** The service observation of one whole-request Machine run. */
+ServiceSample serviceSampleOf(const SimResult &run);
+
 /**
  * Run `samples` seeded Machine simulations of (kernel, shape, variant)
  * and return their service observations.  Sample k's workload seed is
@@ -64,17 +70,12 @@ sampleServiceTable(const std::string &kernel, SystemShape shape,
 double meanServiceSeconds(const std::vector<ServiceSample> &table);
 
 /**
- * Full sim-side serving run: sample the service table, then push the
- * spec's arrival streams through the bounded FCFS queue.  Returns a
- * SimResult whose `serve` member is enabled and filled; the top-level
- * fields summarize the serving window (exec_seconds = makespan,
+ * Sim-side serving run over a sampled service table: push the spec's
+ * arrival streams through the bounded FCFS queue.  Returns a SimResult
+ * whose `serve` member is enabled and filled; the top-level fields
+ * summarize the serving window (exec_seconds = makespan,
  * energy/instructions/tasks_executed = completed-request totals).
  */
-SimResult simulateService(const std::string &kernel, SystemShape shape,
-                          Variant variant, uint64_t seed,
-                          const ServeSpec &spec);
-
-/** Same, over an already-sampled table (the sweep's fast path). */
 SimResult simulateService(const std::vector<ServiceSample> &table,
                           uint64_t seed, const ServeSpec &spec);
 

@@ -55,10 +55,10 @@ fuzzedServeSpec(uint64_t seed)
     serve.deadline_s = knobs.below(2) ? 0.0 : 0.05 * knobs.uniform();
     serve.service_samples = 1 + static_cast<uint32_t>(knobs.below(3));
     spec.serve = serve;
-    // A third of the points route the machine shape through the
-    // CoreTopology path (the "1b7l" preset) instead of the legacy
-    // shape fields, so the serving engine's determinism contract
-    // covers the topology plumbing too.
+    // A third of the points name the machine shape by a topology
+    // override (the "1b7l" preset) instead of the SystemShape label.
+    // The service table honors overrides, so the serving engine's
+    // determinism contract covers the topology plumbing too.
     if (knobs.below(3) == 0)
         spec.overrides.topology = "1b7l";
     return spec;

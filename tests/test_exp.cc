@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "common/json.h"
 #include "exp/cache.h"
@@ -22,6 +24,8 @@
 #include "exp/engine.h"
 #include "exp/results.h"
 #include "exp/run_spec.h"
+#include "kernels/registry.h"
+#include "serve/sim_server.h"
 #include "sim/result_json.h"
 #include "stress/sim_compare.h"
 
@@ -890,13 +894,14 @@ TEST(RunSpec, CacheSchemaCoversServeDimension)
 {
     // v3 made the serving fields spec-addressable; v4 retired every
     // record of the pre-batching engine; v5 retired pre-topology
-    // records; v6 retired the n_big/n_little shape overrides (see
+    // records; v6 retired the n_big/n_little shape overrides; v7
+    // retired serving records that ignored their overrides (see
     // kCacheSchemaVersion).  A tree that adds spec dimensions or
     // execution paths without bumping this would alias stale entries
     // (alias-miss test below).
-    EXPECT_EQ(exp::kCacheSchemaVersion, 6u);
+    EXPECT_EQ(exp::kCacheSchemaVersion, 7u);
     std::string closed = exp::canonicalSpec(sampleSpec());
-    EXPECT_NE(closed.find("aaws-exp/v6"), std::string::npos);
+    EXPECT_NE(closed.find("aaws-exp/v7"), std::string::npos);
     // Closed-loop specs stay serve-free so their hashes are stable.
     EXPECT_EQ(closed.find("serve."), std::string::npos);
 
@@ -1042,6 +1047,99 @@ TEST(Engine, ServeBatchIsJobsInvariant)
                   exp::runResultToJson(parallel[i]));
         stress::expectIdenticalResults(serial[i].sim, parallel[i].sim);
     }
+}
+
+TEST(Engine, ServingSweepSharesServiceTables)
+{
+    // A serve_tail_latency-shaped batch: 2 arrival kinds x 2
+    // utilizations x 5 variants.  The table depends only on the
+    // variant here, so the batch builds 5 tables, not 20, and every
+    // result still equals the plain per-spec reference path.
+    std::vector<exp::RunSpec> specs;
+    for (serve::ArrivalKind kind :
+         {serve::ArrivalKind::poisson, serve::ArrivalKind::mmpp})
+        for (double rate_hz : {30.0, 80.0})
+            for (Variant v : allVariants()) {
+                exp::RunSpec spec = serveSpecSample();
+                spec.variant = v;
+                spec.serve->arrival.kind = kind;
+                spec.serve->arrival.rate_hz = rate_hz;
+                spec.serve->requests = 600;
+                specs.push_back(spec);
+            }
+    ASSERT_EQ(specs.size(), 20u);
+    const uint32_t samples = specs[0].serve->service_samples;
+    std::vector<std::string> reference;
+    for (const exp::RunSpec &spec : specs)
+        reference.push_back(exp::runResultToJson(exp::executeSpec(spec)));
+
+    exp::EngineOptions options;
+    options.use_cache = false;
+    options.progress = false;
+    for (auto [jobs, batching] : {std::pair{1, true}, std::pair{4, true},
+                                  std::pair{4, false}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "jobs " << jobs << " batching " << batching);
+        options.jobs = jobs;
+        options.batching = batching;
+        exp::BatchStats stats;
+        std::vector<RunResult> results =
+            exp::runBatch(specs, options, &stats);
+        ASSERT_EQ(results.size(), specs.size());
+        for (size_t i = 0; i < specs.size(); ++i)
+            EXPECT_EQ(exp::runResultToJson(results[i]), reference[i])
+                << "slot " << i;
+        EXPECT_EQ(stats.misses, 20u);
+        EXPECT_EQ(stats.units, 20u);
+        EXPECT_EQ(stats.service_runs, 5u * samples);
+    }
+}
+
+TEST(RunSpec, ServingSpecHonorsTopologyOverride)
+{
+    // The topology override is part of a serving spec's canonical form,
+    // so it must reach the service table: 4B4L overridden to 1b7l
+    // serves exactly like 1B7L, and differently from plain 4B4L.
+    exp::RunSpec overridden = serveSpecSample();
+    overridden.overrides.topology = "1b7l";
+    exp::RunSpec little = serveSpecSample();
+    little.system = SystemShape::s1B7L;
+    const std::string json =
+        simResultToJson(exp::executeSpec(overridden).sim);
+    EXPECT_EQ(json, simResultToJson(exp::executeSpec(little).sim));
+    EXPECT_NE(json, simResultToJson(exp::executeSpec(serveSpecSample()).sim));
+}
+
+TEST(RunSpec, ServiceTableMatchesSampleServiceTable)
+{
+    // Without overrides the engine's table builder and the serve
+    // layer's sampleServiceTable are the same function (perfbench's
+    // traced serving pass compares exactly these two paths).
+    for (SystemShape shape : {SystemShape::s4B4L, SystemShape::s1B7L})
+        for (Variant v : {Variant::base, Variant::base_psm}) {
+            SCOPED_TRACE(testing::Message() << systemName(shape) << " "
+                                            << variantName(v));
+            exp::RunSpec spec = serveSpecSample();
+            spec.system = shape;
+            spec.variant = v;
+            spec.serve->service_samples = 3;
+            std::optional<Kernel> sample;
+            std::vector<serve::ServiceSample> built = exp::buildServiceTable(
+                spec, [&](uint64_t seed) -> const Kernel & {
+                    return sample.emplace(makeKernel(spec.kernel, seed));
+                });
+            std::vector<serve::ServiceSample> sampled =
+                serve::sampleServiceTable(spec.kernel, shape, v, spec.seed,
+                                          3);
+            ASSERT_EQ(built.size(), sampled.size());
+            for (size_t k = 0; k < built.size(); ++k) {
+                EXPECT_EQ(std::bit_cast<uint64_t>(built[k].seconds),
+                          std::bit_cast<uint64_t>(sampled[k].seconds));
+                EXPECT_EQ(std::bit_cast<uint64_t>(built[k].energy),
+                          std::bit_cast<uint64_t>(sampled[k].energy));
+                EXPECT_EQ(built[k].instructions, sampled[k].instructions);
+            }
+        }
 }
 
 } // namespace

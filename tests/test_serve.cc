@@ -479,7 +479,10 @@ TEST(SimServer, MachineSampledServiceTableWorksEndToEnd)
     spec.requests = 300;
     spec.service_samples = 2;
     SimResult result = serve::simulateService(
-        "dict", SystemShape::s4B4L, Variant::base_psm, 5, spec);
+        serve::sampleServiceTable("dict", SystemShape::s4B4L,
+                                  Variant::base_psm, 5,
+                                  spec.service_samples),
+        5, spec);
     expectWellFormed(result, spec);
     EXPECT_GT(result.serve.energy, 0.0);
     EXPECT_GT(result.serve.p50, 0.0);
