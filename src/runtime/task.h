@@ -1,6 +1,7 @@
 /**
  * @file
- * Type-erased heap tasks shared by every runtime backend.
+ * Type-erased heap tasks shared by every runtime backend, and the
+ * cache-line size their per-worker state is padded to.
  *
  * Split out of worker_pool.h so backends that never see a Chase-Lev
  * deque (src/chan/) can traffic in the same task objects: a task is a
@@ -11,9 +12,13 @@
 #ifndef AAWS_RUNTIME_TASK_H
 #define AAWS_RUNTIME_TASK_H
 
+#include <cstddef>
 #include <utility>
 
 namespace aaws {
+
+/** Destructive-interference padding (std::hardware_* is still shaky). */
+inline constexpr std::size_t kCacheLine = 64;
 
 /** Type-erased heap task: freed by the executor after running. */
 struct RtTask

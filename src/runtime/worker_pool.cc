@@ -1,35 +1,6 @@
 #include "runtime/worker_pool.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
-
 namespace aaws {
-
-namespace {
-
-/** Worker identity of the calling thread, keyed by pool. */
-thread_local const WorkerPool *tls_pool = nullptr;
-thread_local int tls_worker = -1;
-
-} // namespace
-
-CoreTopology
-PoolOptions::workerTopology(int threads) const
-{
-    AAWS_ASSERT(threads >= 1, "pool needs at least one worker");
-    if (topology.empty()) {
-        // Built directly rather than parsed: hosts can exceed the
-        // preset grammar's 64-core limit.
-        CoreCluster cluster;
-        cluster.count = threads;
-        return CoreTopology({cluster});
-    }
-    AAWS_ASSERT(topology.numCores() == threads,
-                "pool topology has %d cores for %d workers",
-                topology.numCores(), threads);
-    return topology;
-}
 
 WorkerPool::WorkerPool(int threads, SchedulerHooks *hooks)
     : WorkerPool(threads, PoolOptions{{}, CoreTopology(), hooks})
@@ -37,62 +8,23 @@ WorkerPool::WorkerPool(int threads, SchedulerHooks *hooks)
 }
 
 WorkerPool::WorkerPool(int threads, const PoolOptions &options)
-    : hooks_(options.hooks), policy_config_(options.policy),
-      policy_(sched::makePolicyStack(options.policy)),
-      topo_(options.workerTopology(threads))
+    : RuntimeBackend(threads, options)
 {
     deques_.reserve(threads);
-    hints_ = std::make_unique<HintState[]>(threads);
-    victims_.reserve(threads);
-    for (int i = 0; i < threads; ++i) {
+    for (int i = 0; i < threads; ++i)
         deques_.push_back(std::make_unique<ChaseLevDeque<RtTask *>>());
-        // Stateful selectors (random) must not be shared across
-        // threads: one per worker, streams decorrelated by index.
-        victims_.push_back(sched::makeVictimSelector(
-            options.policy.victim,
-            options.policy.victim_seed + static_cast<uint64_t>(i)));
-    }
-    // All hint bits power up active, as the paper's cores do.
-    cluster_active_ =
-        std::make_unique<std::atomic<int>[]>(topo_.numClusters());
-    for (int k = 0; k < topo_.numClusters(); ++k)
-        cluster_active_[k].store(topo_.cluster(k).count,
-                                 std::memory_order_relaxed);
-    // The constructing thread is the master (worker 0).
-    tls_pool = this;
-    tls_worker = 0;
-    threads_.reserve(threads - 1);
-    for (int i = 1; i < threads; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+    startWorkers();
 }
 
 WorkerPool::~WorkerPool()
 {
-    stop_.store(true, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        sleep_cv_.notify_all();
-    }
-    for (auto &thread : threads_)
-        thread.join();
+    stopWorkers();
     // Drain any un-executed tasks so they do not leak.
     for (auto &dq : deques_) {
         RtTask *task = nullptr;
         while (dq->steal(task))
             delete task;
     }
-    while (RtTask *task = tryTakeInjected())
-        delete task;
-    if (tls_pool == this) {
-        tls_pool = nullptr;
-        tls_worker = -1;
-    }
-}
-
-int
-WorkerPool::currentWorker() const
-{
-    return tls_pool == this ? tls_worker : -1;
 }
 
 void
@@ -111,31 +43,6 @@ WorkerPool::spawnTask(RtTask *task)
         hooks_->onSpawn(w);
     deques_[w]->push(task);
     wakeOne();
-}
-
-void
-WorkerPool::enqueueTask(RtTask *task)
-{
-    {
-        std::lock_guard<std::mutex> lock(inject_mutex_);
-        injected_.push_back(task);
-        injected_count_.fetch_add(1, std::memory_order_release);
-    }
-    wakeOne();
-}
-
-RtTask *
-WorkerPool::tryTakeInjected()
-{
-    if (injected_count_.load(std::memory_order_acquire) == 0)
-        return nullptr;
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    if (injected_.empty())
-        return nullptr;
-    RtTask *task = injected_.front();
-    injected_.pop_front();
-    injected_count_.fetch_sub(1, std::memory_order_release);
-    return task;
 }
 
 RtTask *
@@ -193,7 +100,7 @@ WorkerPool::tryMug(int self)
     // normal victim selection, which may have just failed on a stale
     // estimate.
     const sched::SchedView &view = *this;
-    if (!policy_.mug.wantsMug(view, self, hints_[self].failed))
+    if (!policy_.mug.wantsMug(view, self, failedStreak(self)))
         return nullptr;
     int muggee = policy_.mug.pickMuggee(view, topo_.clusterOf(self));
     if (muggee < 0)
@@ -212,81 +119,6 @@ WorkerPool::tryMug(int self)
     }
     noteFound(self);
     return task;
-}
-
-void
-WorkerPool::noteFound(int self)
-{
-    if (self < 0)
-        return;
-    HintState &hint = hints_[self];
-    hint.failed = 0;
-    if (hint.waiting.load(std::memory_order_relaxed)) {
-        hint.waiting.store(false, std::memory_order_relaxed);
-        cluster_active_[topo_.clusterOf(self)].fetch_add(
-            1, std::memory_order_relaxed);
-        if (hooks_)
-            hooks_->onWorkerActive(self);
-    }
-}
-
-void
-WorkerPool::noteFailed(int self)
-{
-    if (self < 0)
-        return;
-    HintState &hint = hints_[self];
-    // The paper toggles the activity bit on the *second* consecutive
-    // failed steal attempt (Section III-A); the count keeps running
-    // (saturating) so the mug trigger can read the starvation streak.
-    hint.failed = std::min(hint.failed + 1, 1 << 20);
-    if (hint.failed == 2 && !hint.waiting.load(std::memory_order_relaxed)) {
-        hint.waiting.store(true, std::memory_order_relaxed);
-        cluster_active_[topo_.clusterOf(self)].fetch_sub(
-            1, std::memory_order_relaxed);
-        if (hooks_)
-            hooks_->onWorkerWaiting(self);
-    }
-}
-
-void
-WorkerPool::wakeOne()
-{
-    if (sleepers_.load(std::memory_order_acquire) > 0) {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        sleep_cv_.notify_one();
-    }
-}
-
-void
-WorkerPool::workerLoop(int index)
-{
-    tls_pool = this;
-    tls_worker = index;
-    int idle_spins = 0;
-    while (!stop_.load(std::memory_order_acquire)) {
-        RtTask *task = tryTakeTask();
-        if (task) {
-            idle_spins = 0;
-            task->invoke(task);
-            continue;
-        }
-        if (++idle_spins < 64) {
-            std::this_thread::yield();
-            continue;
-        }
-        // Deep sleep until new work arrives or shutdown: the rest
-        // decision a software pacing governor maps to v_min.
-        if (hooks_)
-            hooks_->onRest(index);
-        std::unique_lock<std::mutex> lock(sleep_mutex_);
-        sleepers_.fetch_add(1, std::memory_order_acq_rel);
-        sleep_cv_.wait_for(lock, std::chrono::milliseconds(1));
-        sleepers_.fetch_sub(1, std::memory_order_acq_rel);
-        idle_spins = 0;
-    }
-    tls_pool = nullptr;
-    tls_worker = -1;
 }
 
 } // namespace aaws

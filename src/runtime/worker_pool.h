@@ -22,63 +22,24 @@
 #ifndef AAWS_RUNTIME_WORKER_POOL_H
 #define AAWS_RUNTIME_WORKER_POOL_H
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <mutex>
-#include <thread>
+#include <memory>
 #include <vector>
 
-#include "model/topology.h"
 #include "runtime/backend.h"
 #include "runtime/chase_lev_deque.h"
-#include "runtime/hooks.h"
-#include "runtime/task.h"
-#include "sched/policy_stack.h"
-#include "sched/view.h"
 
 namespace aaws {
-
-class WorkerPool;
-
-/**
- * Scheduling-policy options of a native pool.
- *
- * The defaults reproduce the historical pool behavior exactly: all
- * workers form one cluster, so the work-biasing gate never fires,
- * nobody has a slower cluster to mug, and victim selection is
- * occupancy-based.
- */
-struct PoolOptions
-{
-    /** Policy-component switches (see sched/policy_stack.h). */
-    sched::PolicyConfig policy{};
-    /**
-     * Worker-cluster assignment: worker w belongs to
-     * topology.clusterOf(w).  Must cover exactly the pool's worker
-     * count when non-empty; empty means one homogeneous cluster.  Only
-     * the cluster structure matters to a native pool — the model
-     * parameters inside are never read.
-     */
-    CoreTopology topology;
-    /** Optional activity observer (borrowed; must outlive the pool). */
-    SchedulerHooks *hooks = nullptr;
-
-    /** The cluster assignment of a pool of `threads` workers. */
-    CoreTopology workerTopology(int threads) const;
-};
 
 /**
  * Fixed-size work-stealing pool.  The constructing thread is "worker 0"
  * (the master) and participates in execution whenever it waits on a
  * TaskGroup; `threads - 1` additional worker threads are spawned.
  *
- * Privately implements sched::SchedView with concurrent snapshots
- * (deque size estimates, relaxed census loads) so the shared policy
- * components can drive it.
+ * Adds to the RuntimeBackend skeleton only its steal mechanism: one
+ * Chase-Lev deque per worker, whose size estimates are the SchedView
+ * occupancy probe, raided directly by thieves and muggers.
  */
-class WorkerPool : public RuntimeBackend, private sched::SchedView
+class WorkerPool : public RuntimeBackend
 {
   public:
     /**
@@ -96,148 +57,28 @@ class WorkerPool : public RuntimeBackend, private sched::SchedView
 
     ~WorkerPool() override;
 
-    WorkerPool(const WorkerPool &) = delete;
-    WorkerPool &operator=(const WorkerPool &) = delete;
-
-    /** Single final overrider for both RuntimeBackend and SchedView. */
-    int numWorkers() const override
-    {
-        return static_cast<int>(deques_.size());
-    }
-
-    /** Total successful steals (statistics; includes mugs). */
-    uint64_t steals() const override
-    {
-        return steals_.load(std::memory_order_relaxed);
-    }
-
-    /** Mug-policy-directed steal attempts by starved big workers. */
-    uint64_t mugAttempts() const override
-    {
-        return mug_attempts_.load(std::memory_order_relaxed);
-    }
-
-    /** Mug attempts that actually migrated a task. */
-    uint64_t mugs() const override
-    {
-        return mugs_.load(std::memory_order_relaxed);
-    }
-
-    /** The policy switches this pool was assembled from. */
-    const sched::PolicyConfig &policyConfig() const override
-    {
-        return policy_config_;
-    }
-
-    // Internal API used by TaskGroup / parallel algorithms ---------------
-
     /** Push a heap task on the current worker's deque. */
     void spawnTask(RtTask *task) override;
-
-    /**
-     * Type-erased enqueue(); thread-safe, wakes a sleeping worker.
-     * Unlike spawnTask(), which requires a pool thread (deque pushes
-     * are owner-only), the task lands in a mutex-guarded FIFO injection
-     * queue that every worker drains alongside stealing, so a foreign
-     * arrival thread can feed a running pool continuously.
-     */
-    void enqueueTask(RtTask *task) override;
 
     /**
      * Take one unit of work: own deque first, then a policy-selected
      * victim (gated by work-biasing), then — for a starved big worker
      * under work-mugging — a mug-targeted steal.  Returns nullptr when
-     * nothing was found this attempt.  Drives the activity-hint hooks:
-     * the second consecutive failed attempt signals waiting; the next
-     * success signals active.
+     * nothing was found this attempt.
      */
     RtTask *tryTakeTask() override;
 
-    /** Worker index of the calling thread (master = 0); -1 if foreign. */
-    int currentWorker() const override;
-
   private:
-    void workerLoop(int index);
-    void wakeOne();
-    void noteFound(int self);
-    void noteFailed(int self);
     RtTask *tryMug(int self);
-    RtTask *tryTakeInjected();
-
-    // --- sched::SchedView (concurrent snapshots) ------------------------
 
     int64_t dequeSize(int worker) const override
     {
         return deques_[worker]->sizeEstimate();
     }
 
-    sched::CoreActivity activity(int core) const override
-    {
-        return hints_[core].waiting.load(std::memory_order_relaxed)
-                   ? sched::CoreActivity::stealing
-                   : sched::CoreActivity::running;
-    }
-
-    int numClusters() const override { return topo_.numClusters(); }
-
-    int clusterOf(int core) const override { return topo_.clusterOf(core); }
-
-    int clusterSize(int cluster) const override
-    {
-        return topo_.cluster(cluster).count;
-    }
-
-    int clusterActive(int cluster) const override
-    {
-        return cluster_active_[cluster].load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Per-worker activity-hint state.  `failed` is owner-thread only;
-     * `waiting` is written by the owner and read by foreign threads
-     * (the census view), hence atomic.
-     */
-    struct HintState
-    {
-        int failed = 0;
-        std::atomic<bool> waiting{false};
-    };
-
     std::vector<std::unique_ptr<ChaseLevDeque<RtTask *>>> deques_;
-    /** Array (not vector): atomics are not movable. */
-    std::unique_ptr<HintState[]> hints_;
-    SchedulerHooks *hooks_ = nullptr;
-    sched::PolicyConfig policy_config_{};
-    sched::PolicyStack policy_;
-    /** One stateful selector per worker (pick() is single-threaded). */
-    std::vector<std::unique_ptr<sched::VictimSelector>> victims_;
     /** Stateless fallback for foreign threads (no own deque). */
     sched::OccupancyVictimSelector foreign_victim_;
-    /** Worker-cluster assignment (PoolOptions::workerTopology). */
-    CoreTopology topo_;
-    /**
-     * Hint-bit census per cluster (the biasing gate's input).  Array,
-     * not vector: atomics are not movable.
-     */
-    std::unique_ptr<std::atomic<int>[]> cluster_active_;
-    std::vector<std::thread> threads_;
-    std::atomic<bool> stop_{false};
-    std::atomic<uint64_t> steals_{0};
-    std::atomic<uint64_t> mug_attempts_{0};
-    std::atomic<uint64_t> mugs_{0};
-
-    std::mutex sleep_mutex_;
-    std::condition_variable sleep_cv_;
-    std::atomic<int> sleepers_{0};
-
-    /**
-     * Foreign-thread injection queue (enqueue()).  The count mirrors
-     * the queue size so the take path can skip the mutex when empty —
-     * the common case for closed-loop workloads.
-     */
-    std::mutex inject_mutex_;
-    std::deque<RtTask *> injected_;
-    std::atomic<size_t> injected_count_{0};
 };
 
 } // namespace aaws

@@ -2,7 +2,8 @@
  * @file
  * WorkerPool churn stress: pools constructed and destroyed in a loop
  * with work in flight, spawn storms that force worker-thread steals,
- * deep nested joins, and activity-census consistency under load.
+ * deep nested joins, and activity-census consistency under load (on
+ * both native backends).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "chan/backend_factory.h"
 #include "runtime/parallel_for.h"
 #include "runtime/parallel_invoke.h"
 #include "runtime/task_group.h"
@@ -130,42 +132,47 @@ TEST(WorkerPoolStress, ActivityCensusStaysInBounds)
     // Hammer the hint machinery: repeated storms followed by quiescence.
     // The census must stay within [0, workers] at every observation and
     // settle to exactly one active worker (the idle master) after work
-    // dries up.
+    // dries up.  The census code is shared, so both backends run it.
     const int64_t rounds = envKnob("AAWS_STRESS_ROUNDS", 40, 8);
     const int workers = 4;
-    ActivityMonitor monitor(workers);
-    WorkerPool pool(workers, &monitor);
-    for (int64_t round = 0; round < rounds; ++round) {
-        SCOPED_TRACE(testing::Message() << "round " << round);
-        std::atomic<int> ran{0};
-        TaskGroup group(pool);
-        for (int i = 0; i < 300; ++i) {
-            group.run([&] {
-                volatile int x = 0;
-                for (int j = 0; j < 500; ++j)
-                    x = x + j;
-                ran.fetch_add(1);
-            });
+    for (BackendKind kind : {BackendKind::deque, BackendKind::chan}) {
+        SCOPED_TRACE(backendName(kind));
+        ActivityMonitor monitor(workers);
+        auto pool = chan::makeBackend(
+            kind, workers, PoolOptions{{}, CoreTopology(), &monitor});
+        for (int64_t round = 0; round < rounds; ++round) {
+            SCOPED_TRACE(testing::Message() << "round " << round);
+            std::atomic<int> ran{0};
+            TaskGroup group(*pool);
+            for (int i = 0; i < 300; ++i) {
+                group.run([&] {
+                    volatile int x = 0;
+                    for (int j = 0; j < 500; ++j)
+                        x = x + j;
+                    ran.fetch_add(1);
+                });
+            }
+            group.wait();
+            ASSERT_EQ(ran.load(), 300);
+            int census = monitor.activeWorkers();
+            ASSERT_GE(census, 0);
+            ASSERT_LE(census, workers);
+            // Every committed steal reports through onStealSuccess.
+            ASSERT_EQ(monitor.stealSuccesses(), pool->steals());
         }
-        group.wait();
-        ASSERT_EQ(ran.load(), 300);
-        int census = monitor.activeWorkers();
-        ASSERT_GE(census, 0);
-        ASSERT_LE(census, workers);
-        // Every committed steal reports through onStealSuccess.
-        ASSERT_EQ(monitor.stealSuccesses(), pool.steals());
+        for (int spin = 0; spin < 200'000 && monitor.activeWorkers() > 1;
+             ++spin)
+            std::this_thread::yield();
+        EXPECT_EQ(monitor.activeWorkers(), 1);
+        // Idle workers exhaust their spin budget and park; the rest hook
+        // must have fired by the time the pool has been quiet this long.
+        for (int spin = 0; spin < 200'000 && monitor.rests() == 0; ++spin)
+            std::this_thread::yield();
+        EXPECT_GT(monitor.rests(), 0u);
+        // The default pool has mugging disabled: the hook must stay
+        // quiet.
+        EXPECT_EQ(monitor.mugs(), 0u);
     }
-    for (int spin = 0; spin < 200'000 && monitor.activeWorkers() > 1;
-         ++spin)
-        std::this_thread::yield();
-    EXPECT_EQ(monitor.activeWorkers(), 1);
-    // Idle workers exhaust their spin budget and park; the rest hook
-    // must have fired by the time the pool has been quiet this long.
-    for (int spin = 0; spin < 200'000 && monitor.rests() == 0; ++spin)
-        std::this_thread::yield();
-    EXPECT_GT(monitor.rests(), 0u);
-    // The default pool has mugging disabled: the hook must stay quiet.
-    EXPECT_EQ(monitor.mugs(), 0u);
 }
 
 TEST(WorkerPoolStress, PolicyStackPoolSurvivesShaking)

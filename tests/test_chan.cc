@@ -5,8 +5,9 @@
  * backend: fork-join correctness through the RuntimeBackend seam, all
  * five AAWS variants on the message-passing scheduler, mugging as a
  * steal-request message, steal-one/steal-half/adaptive granularity,
- * lifeline accounting, the foreign-thread enqueue path, and the
- * backend factory + strict BackendKind parsing.
+ * lifeline accounting, the foreign-thread enqueue path, the backend
+ * factory, the master identity of coexisting pools, and strict
+ * BackendKind parsing.
  *
  * Genuine multi-thread hammering lives in tests/stress/stress_chan.cc;
  * these tests keep workloads small enough for the sanitizer legs.
@@ -327,6 +328,31 @@ TEST(BackendFactory, ConstructsWorkingPools)
         EXPECT_EQ(pool->numWorkers(), 3);
         EXPECT_EQ(pool->currentWorker(), 0);
         EXPECT_EQ(fib(*pool, 18), 2584u) << backendName(kind);
+    }
+}
+
+TEST(BackendFactory, ConstructingThreadStaysMasterOfEveryPool)
+{
+    // Constructing and destroying a second pool must not take worker 0
+    // away from the first: each pool knows its own constructing thread.
+    for (BackendKind kind : {BackendKind::deque, BackendKind::chan}) {
+        SCOPED_TRACE(backendName(kind));
+        auto a = chan::makeBackend(kind, 2, PoolOptions{});
+        {
+            auto b = chan::makeBackend(kind, 2, PoolOptions{});
+            EXPECT_EQ(a->currentWorker(), 0);
+            EXPECT_EQ(b->currentWorker(), 0);
+            int foreign_a = 0;
+            int foreign_b = 0;
+            std::thread([&] {
+                foreign_a = a->currentWorker();
+                foreign_b = b->currentWorker();
+            }).join();
+            EXPECT_EQ(foreign_a, -1);
+            EXPECT_EQ(foreign_b, -1);
+        }
+        EXPECT_EQ(a->currentWorker(), 0);
+        EXPECT_EQ(fib(*a, 18), 2584u);
     }
 }
 

@@ -2,18 +2,21 @@
  * @file
  * Tests of the native concurrent work-stealing runtime: Chase-Lev deque
  * semantics (sequential and under real thief contention), the worker
- * pool, TaskGroup joins, parallel_for/reduce/invoke correctness, and the
- * Table II comparison schedulers.
+ * pool, TaskGroup joins, parallel_for/reduce/invoke correctness, the
+ * Table II comparison schedulers, and the scheduler-hook protocol on
+ * both native backends.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chan/backend_factory.h"
 #include "runtime/central_queue.h"
 #include "runtime/hooks.h"
 #include "runtime/parallel_for.h"
@@ -348,44 +351,60 @@ TEST(AsyncChunked, CoversRangeExactlyOnce)
         EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
+/** Both native backends: the hint protocol is shared, so is its suite. */
+constexpr BackendKind kBackends[] = {BackendKind::deque, BackendKind::chan};
+
+std::unique_ptr<RuntimeBackend>
+makePool(BackendKind kind, int threads, SchedulerHooks *hooks)
+{
+    return chan::makeBackend(kind, threads,
+                             PoolOptions{{}, CoreTopology(), hooks});
+}
+
 TEST(Hooks, WorkersSignalWaitingWhenIdle)
 {
-    ActivityMonitor monitor(4);
-    WorkerPool pool(4, &monitor);
-    // With nothing to do, the three worker threads fail steals and
-    // signal waiting; the master only participates during joins, so the
-    // census settles at exactly one active worker (the master).
-    for (int spin = 0; spin < 20000 && monitor.activeWorkers() > 1;
-         ++spin)
-        std::this_thread::yield();
-    EXPECT_EQ(monitor.activeWorkers(), 1);
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        ActivityMonitor monitor(4);
+        auto pool = makePool(kind, 4, &monitor);
+        // With nothing to do, the three worker threads fail steals and
+        // signal waiting; the master only participates during joins, so
+        // the census settles at exactly one active worker (the master).
+        for (int spin = 0; spin < 20000 && monitor.activeWorkers() > 1;
+             ++spin)
+            std::this_thread::yield();
+        EXPECT_EQ(monitor.activeWorkers(), 1);
+    }
 }
 
 TEST(Hooks, WorkersReactivateForWork)
 {
-    ActivityMonitor monitor(4);
-    WorkerPool pool(4, &monitor);
-    for (int spin = 0; spin < 20000 && monitor.activeWorkers() > 1;
-         ++spin)
-        std::this_thread::yield();
-    ASSERT_EQ(monitor.activeWorkers(), 1);
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        ActivityMonitor monitor(4);
+        auto pool = makePool(kind, 4, &monitor);
+        for (int spin = 0; spin < 20000 && monitor.activeWorkers() > 1;
+             ++spin)
+            std::this_thread::yield();
+        ASSERT_EQ(monitor.activeWorkers(), 1);
 
-    std::atomic<int> ran{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 2000; ++i) {
-        group.run([&ran] {
-            // Enough work per task for activity to be observable.
-            volatile int x = 0;
-            for (int j = 0; j < 2000; ++j)
-                x += j;
-            ran.fetch_add(1);
-        });
+        std::atomic<int> ran{0};
+        TaskGroup group(*pool);
+        for (int i = 0; i < 2000; ++i) {
+            group.run([&ran] {
+                // Enough work per task for activity to be observable.
+                volatile int x = 0;
+                for (int j = 0; j < 2000; ++j)
+                    x += j;
+                ran.fetch_add(1);
+            });
+        }
+        group.wait();
+        EXPECT_EQ(ran.load(), 2000);
+        // Census must never go negative or exceed the worker count.
+        EXPECT_GE(monitor.activeWorkers(), 0);
+        EXPECT_LE(monitor.activeWorkers(), 4);
     }
-    group.wait();
-    EXPECT_EQ(ran.load(), 2000);
-    // Census must never go negative or exceed the worker count.
-    EXPECT_GE(monitor.activeWorkers(), 0);
-    EXPECT_LE(monitor.activeWorkers(), 4);
 }
 
 TEST(Hooks, TransitionCountsAreBalanced)
@@ -400,67 +419,85 @@ TEST(Hooks, TransitionCountsAreBalanced)
         void onWorkerActive(int) override { actives.fetch_add(1); }
         void onWorkerWaiting(int) override { waits.fetch_add(1); }
     };
-    Counter counter;
-    {
-        WorkerPool pool(3, &counter);
-        for (int round = 0; round < 5; ++round) {
-            TaskGroup group(pool);
-            for (int i = 0; i < 50; ++i)
-                group.run([] {});
-            group.wait();
-            std::this_thread::yield();
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        Counter counter;
+        {
+            auto pool = makePool(kind, 3, &counter);
+            for (int round = 0; round < 5; ++round) {
+                TaskGroup group(*pool);
+                for (int i = 0; i < 50; ++i)
+                    group.run([] {});
+                group.wait();
+                std::this_thread::yield();
+            }
         }
+        int waits = counter.waits.load();
+        int actives = counter.actives.load();
+        EXPECT_GE(waits, actives);
+        EXPECT_LE(waits - actives, 3);
     }
-    int waits = counter.waits.load();
-    int actives = counter.actives.load();
-    EXPECT_GE(waits, actives);
-    EXPECT_LE(waits - actives, 3);
 }
 
 TEST(Hooks, NullHooksAreSafe)
 {
-    WorkerPool pool(3, nullptr);
-    std::atomic<int> ran{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 100; ++i)
-        group.run([&ran] { ran.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(ran.load(), 100);
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        auto pool = makePool(kind, 3, nullptr);
+        std::atomic<int> ran{0};
+        TaskGroup group(*pool);
+        for (int i = 0; i < 100; ++i)
+            group.run([&ran] { ran.fetch_add(1); });
+        group.wait();
+        EXPECT_EQ(ran.load(), 100);
+    }
 }
 
 TEST(Hooks, StealSuccessReportsEveryCommittedSteal)
 {
-    ActivityMonitor monitor(4);
-    WorkerPool pool(4, &monitor);
-    std::atomic<int> ran{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 2000; ++i) {
-        group.run([&ran] {
-            volatile int x = 0;
-            for (int j = 0; j < 1000; ++j)
-                x += j;
-            ran.fetch_add(1);
-        });
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        ActivityMonitor monitor(4);
+        auto pool = makePool(kind, 4, &monitor);
+        std::atomic<int> ran{0};
+        TaskGroup group(*pool);
+        for (int i = 0; i < 2000; ++i) {
+            group.run([&ran] {
+                volatile int x = 0;
+                for (int j = 0; j < 1000; ++j)
+                    x += j;
+                ran.fetch_add(1);
+            });
+        }
+        // Let a worker get a CPU before the master starts draining its
+        // own queue: on an idle host, waking a parked worker can take
+        // longer than running all 2000 tasks on the master.
+        for (int spin = 0; spin < 200'000 && pool->steals() == 0; ++spin)
+            std::this_thread::yield();
+        group.wait();
+        EXPECT_EQ(ran.load(), 2000);
+        EXPECT_EQ(monitor.stealSuccesses(), pool->steals());
+        // With this much work and three hungry workers, something
+        // stole.
+        EXPECT_GT(monitor.stealSuccesses(), 0u);
     }
-    group.wait();
-    EXPECT_EQ(ran.load(), 2000);
-    EXPECT_EQ(monitor.stealSuccesses(), pool.steals());
-    // With this much work and three hungry workers, something stole.
-    EXPECT_GT(monitor.stealSuccesses(), 0u);
 }
 
 TEST(Hooks, RestFiresWhenWorkersPark)
 {
-    ActivityMonitor monitor(3);
-    WorkerPool pool(3, &monitor);
-    // Idle workers exhaust their spin budget and park on the wakeup
-    // condition variable, announcing the rest through the hook.
-    for (int spin = 0; spin < 200'000 && monitor.rests() == 0; ++spin)
-        std::this_thread::yield();
-    EXPECT_GT(monitor.rests(), 0u);
-    // Mugging is off in a default pool: no mug may ever be reported.
-    EXPECT_EQ(monitor.mugs(), 0u);
-    EXPECT_EQ(pool.mugAttempts(), 0u);
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        ActivityMonitor monitor(3);
+        auto pool = makePool(kind, 3, &monitor);
+        // Idle workers exhaust their spin budget and park on the wakeup
+        // condition variable, announcing the rest through the hook.
+        for (int spin = 0; spin < 200'000 && monitor.rests() == 0; ++spin)
+            std::this_thread::yield();
+        EXPECT_GT(monitor.rests(), 0u);
+        // Mugging is off in a default pool: no mug may ever be reported.
+        EXPECT_EQ(monitor.mugs(), 0u);
+        EXPECT_EQ(pool->mugAttempts(), 0u);
+    }
 }
 
 TEST(Hooks, SequencedTransitionsObserveNewCallbacks)
@@ -480,16 +517,20 @@ TEST(Hooks, SequencedTransitionsObserveNewCallbacks)
             events.push_back("steal");
         }
     };
-    Recorder recorder;
-    WorkerPool pool(1, &recorder); // master only: single-threaded
-    EXPECT_EQ(pool.tryTakeTask(), nullptr);
-    EXPECT_EQ(pool.tryTakeTask(), nullptr); // 2nd miss: waiting
-    pool.spawn([] {});
-    RtTask *task = pool.tryTakeTask(); // own pop: active again
-    ASSERT_NE(task, nullptr);
-    task->invoke(task);
-    std::vector<std::string> expect = {"wait", "active"};
-    EXPECT_EQ(recorder.events, expect); // own pops are not steals
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        Recorder recorder;
+        // Master only: single-threaded.
+        auto pool = makePool(kind, 1, &recorder);
+        EXPECT_EQ(pool->tryTakeTask(), nullptr);
+        EXPECT_EQ(pool->tryTakeTask(), nullptr); // 2nd miss: waiting
+        pool->spawn([] {});
+        RtTask *task = pool->tryTakeTask(); // own pop: active again
+        ASSERT_NE(task, nullptr);
+        task->invoke(task);
+        std::vector<std::string> expect = {"wait", "active"};
+        EXPECT_EQ(recorder.events, expect); // own pops are not steals
+    }
 }
 
 } // namespace
