@@ -123,50 +123,6 @@ BM_MachineRun(benchmark::State &state)
 BENCHMARK(BM_MachineRun)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_SnapshotForkReuse(benchmark::State &state)
-{
-    // Fork-reuse: simulate to the point where the mug-latency knob is
-    // first read, snapshot, then serve N sweep values by restore +
-    // resumeRun instead of N full runs.  The figure of merit is events
-    // actually executed per sweep value (lower = more prefix reuse).
-    const int sweep_values = static_cast<int>(state.range(0));
-    Kernel kernel = makeKernel("dict");
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
-
-    // Learn the fork point once from a throwaway reference run.
-    Machine probe(config, kernel.dag);
-    probe.run();
-    uint64_t first_read =
-        probe.knobFirstReadEvent(SweepKnob::mug_interrupt_cycles);
-    if (first_read == Machine::kKnobNeverRead || first_read == 0) {
-        state.SkipWithError("mug knob fork point unavailable for dict");
-        return;
-    }
-
-    uint64_t events = 0;
-    for (auto _ : state) {
-        Machine prefix(config, kernel.dag);
-        prefix.runEvents(first_read - 1);
-        Machine::Snapshot snap = prefix.snapshot();
-        for (int i = 0; i < sweep_values; ++i) {
-            MachineConfig swept = config;
-            swept.costs.mug_interrupt_cycles = 100 + 300 * i;
-            Machine machine(swept, kernel.dag);
-            machine.restore(snap);
-            SimResult result = machine.resumeRun();
-            // Only the post-fork suffix was simulated for this value.
-            events += result.sim_events - (first_read - 1);
-            benchmark::DoNotOptimize(result.exec_seconds);
-        }
-    }
-    state.counters["sweep_values"] = static_cast<double>(sweep_values);
-    state.counters["suffix_events"] = benchmark::Counter(
-        static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SnapshotForkReuse)->Arg(2)->Arg(4)->Arg(8);
-
-void
 BM_DagGeneration(benchmark::State &state)
 {
     const char *names[] = {"dict", "radix-1", "qsort-1"};
@@ -182,9 +138,9 @@ BENCHMARK(BM_DagGeneration)->Arg(0)->Arg(1)->Arg(2);
 /**
  * Timed engine batch (cache off, single job): 3 kernels x all variants
  * plus a seed fan-out and two mug-latency sweeps, which smoke-tests the
- * engine plumbing — single-spec, snapshot-fork, and clone units — and
- * yields the sims/sec + events/sec + batching-counter record CI
- * archives.
+ * engine plumbing — single-spec units and sweep units, with and
+ * without clones — and yields the sims/sec + events/sec +
+ * batching-counter record CI archives.
  */
 void
 emitBenchJson(const std::string &path)
@@ -198,9 +154,9 @@ emitBenchJson(const std::string &path)
     for (uint64_t seed_offset = 1; seed_offset <= 4; ++seed_offset)
         specs.emplace_back("dict", SystemShape::s4B4L, Variant::base_psm,
                            exp::kDefaultSeed + seed_offset);
-    // One-knob sweeps: dict reads the mug knob mid-run, so its sweep
-    // exercises the snapshot-fork unit; radix-1 never reads it, so its
-    // sweep resolves to one reference run plus clones.
+    // One-knob sweeps: dict reads the mug knob, so its sweep unit runs
+    // every value plainly; radix-1 never reads it, so its sweep
+    // resolves to one reference run plus clones.
     for (const char *kernel : {"dict", "radix-1"})
         for (uint64_t cycles : {100ull, 400ull, 700ull, 1000ull}) {
             exp::RunSpec spec(kernel, SystemShape::s4B4L,

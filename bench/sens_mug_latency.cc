@@ -81,16 +81,17 @@ main(int argc, char **argv)
 
     // Batched-execution cross-check (repro-gate claim sens_mug/batch):
     // the dict sweep row re-executed with the cache bypassed, batched
-    // (snapshot-fork unit: shared prefix + one fork per latency) and
-    // forced-serial, must serialize byte-identically.
+    // and forced-serial, must serialize byte-identically.  base+psm
+    // mugs, so its sweep unit runs every latency plainly; base+ps never
+    // mugs, so its unit serves three latencies as clones of the first.
     {
         std::vector<exp::RunSpec> probe;
-        for (uint64_t c : cycles) {
-            exp::RunSpec spec{"dict", SystemShape::s4B4L,
-                              Variant::base_psm};
-            spec.overrides.mug_interrupt_cycles = c;
-            probe.push_back(std::move(spec));
-        }
+        for (Variant variant : {Variant::base_psm, Variant::base_ps})
+            for (uint64_t c : cycles) {
+                exp::RunSpec spec{"dict", SystemShape::s4B4L, variant};
+                spec.overrides.mug_interrupt_cycles = c;
+                probe.push_back(std::move(spec));
+            }
         exp::EngineOptions opts = cli.engine;
         opts.use_cache = false;
         opts.progress = false;

@@ -38,8 +38,8 @@ printUsage(const char *prog)
         "(env AAWS_EXP_NO_CACHE)\n"
         "  --cache-dir=D   cache directory "
         "(env AAWS_EXP_CACHE_DIR; default .aaws-cache)\n"
-        "  --no-batch      disable batched execution (snapshot forks "
-        "and clones of sweep rows)\n"
+        "  --no-batch      disable batched execution (clones of "
+        "sweep rows)\n"
         "  --no-progress   suppress engine progress lines on stderr\n"
         "  --time          print a sims/sec + events/sec line on stderr\n"
         "  --bench-json=F  write a machine-readable perf record to F "

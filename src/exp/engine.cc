@@ -259,24 +259,23 @@ class ServiceTables
  * the hit/miss split, execute serially inside themselves, and write
  * only their own result slots — so `--jobs=N` stays byte-identical to
  * `--jobs=1` at unit granularity.  Every miss is its own unit except
- * the specs of a one-knob sweep, which share one fork unit.
+ * the specs of a one-knob sweep, which share one sweep unit.
  */
 struct WorkUnit
 {
-    /** The swept knob of a fork unit; empty for a single spec. */
+    /** The swept knob of a sweep unit; empty for a single spec. */
     std::optional<SweepKnob> knob;
     std::vector<size_t> indices; ///< ascending spec indices
 };
 
 /**
- * Fork-group key: the canonical form with the swept knob's value
+ * Sweep-group key: the canonical form with the swept knob's value
  * masked out.  Specs mapping to the same key differ in at most that
- * one config knob, which is exactly the snapshot-fork compatibility
- * contract (see SweepKnob).  Returns false for specs that are not
- * one-knob sweeps.
+ * one config knob, so a run that never reads it serves them all (see
+ * SweepKnob).  Returns false for specs that are not one-knob sweeps.
  */
 bool
-forkGroupKey(const RunSpec &spec, SweepKnob &knob_out, std::string &key_out)
+sweepGroupKey(const RunSpec &spec, SweepKnob &knob_out, std::string &key_out)
 {
     const SpecOverrides &o = spec.overrides;
     int set_knobs = (o.steal_attempt_cycles ? 1 : 0) +
@@ -307,37 +306,36 @@ forkGroupKey(const RunSpec &spec, SweepKnob &knob_out, std::string &key_out)
 
 /**
  * Partition the miss indices into work units: one-knob sweeps of two
- * or more specs (by masked canonical form) become fork units, listed
+ * or more specs (by masked canonical form) become sweep units, listed
  * first so the longest units start first; every other miss, including
- * serving and batching-opt-out specs, is a single-spec unit.  A pure
- * function of the spec list and the miss set.
+ * serving specs, is a single-spec unit.  A pure function of the spec
+ * list and the miss set.
  */
 std::vector<WorkUnit>
 planUnits(const std::vector<RunSpec> &specs,
           const std::vector<size_t> &miss, bool batching)
 {
-    std::vector<WorkUnit> forks;
+    std::vector<WorkUnit> sweeps;
     std::vector<WorkUnit> singles;
-    std::map<std::string, size_t> fork_of; // masked key -> forks index
+    std::map<std::string, size_t> sweep_of; // masked key -> sweeps index
     for (size_t i : miss) {
         SweepKnob knob = SweepKnob::steal_attempt_cycles;
         std::string key;
-        if (batching && specs[i].batchable &&
-            forkGroupKey(specs[i], knob, key)) {
-            auto [it, inserted] = fork_of.try_emplace(key, forks.size());
+        if (batching && sweepGroupKey(specs[i], knob, key)) {
+            auto [it, inserted] = sweep_of.try_emplace(key, sweeps.size());
             if (inserted)
-                forks.push_back({knob, {}});
-            forks[it->second].indices.push_back(i);
+                sweeps.push_back({knob, {}});
+            sweeps[it->second].indices.push_back(i);
         } else {
             singles.push_back({std::nullopt, {i}});
         }
     }
     // A one-spec sweep has nothing to share: it runs as a single.
-    for (WorkUnit &unit : forks)
+    for (WorkUnit &unit : sweeps)
         if (unit.indices.size() < 2)
             unit.knob.reset();
-    forks.insert(forks.end(), singles.begin(), singles.end());
-    return forks;
+    sweeps.insert(sweeps.end(), singles.begin(), singles.end());
+    return sweeps;
 }
 
 /** One-line machine-readable perf record (see EXPERIMENTS.md schema). */
@@ -393,7 +391,6 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
     std::vector<RunResult> results(specs.size());
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> sim_events{0};
-    std::atomic<uint64_t> fork_runs{0};
     std::atomic<uint64_t> cloned_results{0};
     ProgressReporter progress(options.progress, specs.size());
     KernelPool kernels(specs);
@@ -414,7 +411,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         }
     }
 
-    // Pass 2: plan work units (fork sweeps, then single specs).
+    // Pass 2: plan work units (sweeps, then single specs).
     std::vector<WorkUnit> units =
         planUnits(specs, miss, options.batching);
 
@@ -438,12 +435,8 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
 
     // Clone path: the swept knob was never read during the reference
     // run, so the reference history *is* this spec's history.
-    auto recordClone = [&](size_t i, const RunResult &reference) {
-        RunResult result;
-        result.kernel = specs[i].kernel;
-        result.system = specs[i].system;
-        result.variant = specs[i].variant;
-        result.sim = reference.sim;
+    auto recordClone = [&](size_t i, const SimResult &reference) {
+        RunResult result = labelledResult(specs[i], reference);
         misses.fetch_add(1, std::memory_order_relaxed);
         cloned_results.fetch_add(1, std::memory_order_relaxed);
         cache.store(specs[i], result);
@@ -451,63 +444,28 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         progress.onRunDone(false);
     };
 
-    auto runFork = [&](const WorkUnit &unit) {
-        // Reference run: the first spec of the sweep, instrumented for
-        // the event index at which the swept knob is first read.
-        const size_t ref_idx = unit.indices[0];
-        const RunSpec &ref_spec = specs[ref_idx];
+    // A sweep unit runs its first spec as the reference.  The other
+    // values are clones when that run never read the swept knob, and
+    // plain runs, one after another, when it did.
+    auto runSweep = [&](const WorkUnit &unit) {
+        const RunSpec &ref_spec = specs[unit.indices[0]];
         const Kernel &kernel = kernels.get(ref_spec.kernel, ref_spec.seed);
-        const MachineConfig ref_config = configForSpec(kernel, ref_spec);
-        Machine reference(ref_config, kernel.dag);
-        RunResult ref_result;
-        ref_result.kernel = ref_spec.kernel;
-        ref_result.system = ref_spec.system;
-        ref_result.variant = ref_spec.variant;
-        ref_result.sim = reference.run();
-        const uint64_t first_read =
-            reference.knobFirstReadEvent(*unit.knob);
-        RunResult ref_copy = ref_result; // record() consumes the original
-        record(ref_idx, std::move(ref_result));
-
-        std::vector<size_t> rest(unit.indices.begin() + 1,
-                                 unit.indices.end());
-        if (first_read == Machine::kKnobNeverRead) {
-            // The whole run never consumed the knob: every sweep value
-            // yields the identical history.
-            for (size_t i : rest)
-                recordClone(i, ref_copy);
-            return;
-        }
-        if (first_read == 0 ||
-            first_read - 1 < options.fork_min_prefix_events) {
-            // Knob read at boot (no shareable prefix) or the prefix is
-            // too short to pay for the replay: plain runs.
-            for (size_t i : rest)
+        Machine reference(configForSpec(kernel, ref_spec), kernel.dag);
+        RunResult ref_result = labelledResult(ref_spec, reference.run());
+        const bool knob_read = reference.knobRead(*unit.knob);
+        for (size_t k = 1; k < unit.indices.size(); ++k) {
+            const size_t i = unit.indices[k];
+            if (knob_read)
                 record(i, executeSpec(specs[i], kernel));
-            return;
+            else
+                recordClone(i, ref_result.sim);
         }
-
-        // Replay the shared prefix once — events [1, first_read - 1]
-        // provably do not depend on the knob — then fork per value.
-        Machine prefix(ref_config, kernel.dag);
-        prefix.runEvents(first_read - 1);
-        const Machine::Snapshot snap = prefix.snapshot();
-        for (size_t i : rest) {
-            Machine forked(configForSpec(kernel, specs[i]), kernel.dag);
-            forked.restore(snap);
-            RunResult result;
-            result.kernel = specs[i].kernel;
-            result.system = specs[i].system;
-            result.variant = specs[i].variant;
-            result.sim = forked.resumeRun();
-            fork_runs.fetch_add(1, std::memory_order_relaxed);
-            record(i, std::move(result));
-        }
+        record(unit.indices[0], std::move(ref_result));
     };
 
     auto runUnit = [&](const WorkUnit &unit) {
         if (unit.knob) {
-            runFork(unit);
+            runSweep(unit);
             return;
         }
         const RunSpec &spec = specs[unit.indices[0]];
@@ -538,7 +496,6 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
     stats.elapsed_seconds = secondsSince(progress.start());
     stats.sim_events = sim_events.load(std::memory_order_relaxed);
     stats.units = units.size();
-    stats.fork_runs = fork_runs.load(std::memory_order_relaxed);
     stats.cloned_results = cloned_results.load(std::memory_order_relaxed);
     stats.service_runs = tables.runs();
     progress.summary(stats);

@@ -13,11 +13,11 @@
  * `--jobs=N` load-balanced — except under batched execution
  * (EngineOptions::batching, default on), where specs identical except
  * for the value of exactly one SweepKnob (a sensitivity sweep row)
- * share one *fork unit*.  The unit simulates a reference run, learns
- * where the knob is first read, replays that shared prefix once,
- * snapshots, and forks per sweep value; when the knob is never read,
- * the remaining results are clones of the reference (the run provably
- * cannot depend on the knob).
+ * share one *sweep unit*.  The unit simulates its first spec as the
+ * reference run.  When that run never read the knob, the remaining
+ * results are clones of the reference (the run provably cannot depend
+ * on the knob); otherwise they run as plain simulations inside the
+ * unit, one after another.
  *
  * Serving specs are single units too.  Their service tables are
  * memoized per batch: each distinct table (closed-loop canonical form
@@ -25,8 +25,8 @@
  * and every serving spec that needs it runs its queue against the
  * shared copy.  BatchStats::service_runs counts the Machine runs spent.
  *
- * Forks and clones produce results bit-identical to plain
- * Machine::run (DESIGN.md §10; enforced by the stress fuzz), so
+ * Clones are bit-identical to plain Machine::run (DESIGN.md §10;
+ * enforced by the stress fuzz and its clone-contract oracle), so
  * batching changes wall-clock, never output.
  *
  * Observability: progress lines on stderr (done/total, hit/miss
@@ -79,18 +79,11 @@ struct EngineOptions
     std::string topology_tag;
     /**
      * Batched execution (--no-batch disables): sweep groups differing
-     * in exactly one SweepKnob run as snapshot-fork units that
-     * simulate the shared prefix once, or clone the reference result
-     * when the knob is never read.  Results are bit-identical to plain
-     * runs.
+     * in exactly one SweepKnob share one sweep unit, which clones the
+     * reference result when the knob is never read.  Results are
+     * bit-identical to plain runs.
      */
     bool batching = true;
-    /**
-     * Smallest shared-prefix length (in events) worth snapshot-forking;
-     * shorter prefixes fall back to plain runs, where the fork
-     * bookkeeping would cost more than the replay it saves.
-     */
-    uint64_t fork_min_prefix_events = 5000;
 };
 
 /** What a batch did (for tests, CI assertions, and callers' logging). */
@@ -104,7 +97,10 @@ struct BatchStats
     uint64_t sim_events = 0;
     /** Work units the misses were planned into (see runBatch). */
     uint64_t units = 0;
-    /** Misses satisfied by a snapshot-fork continuation. */
+    /**
+     * Always 0: the snapshot-fork path it counted was removed.  Kept
+     * for readers of BatchStats and of the perf record's `fork_runs`.
+     */
     uint64_t fork_runs = 0;
     /**
      * Misses satisfied by cloning a reference result because the swept

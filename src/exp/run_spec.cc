@@ -75,9 +75,6 @@ configForSpec(const Kernel &kernel, const RunSpec &spec)
     return config;
 }
 
-namespace {
-
-/** A result labelled with the spec's kernel, shape and variant. */
 RunResult
 labelledResult(const RunSpec &spec, SimResult sim)
 {
@@ -88,8 +85,6 @@ labelledResult(const RunSpec &spec, SimResult sim)
     result.sim = std::move(sim);
     return result;
 }
-
-} // namespace
 
 RunResult
 executeSpec(const RunSpec &spec)

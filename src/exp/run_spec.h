@@ -36,12 +36,13 @@ namespace exp {
  * v3: RunSpec grew the optional open-loop serving dimension (`serve`),
  * and SimResult grew the ServeStats block those runs fill.
  *
- * v4: the engine gained batched execution (lockstep lanes, since
- * removed, and snapshot-fork sweep groups).  Batched results are proven
- * bit-identical to serial ones (tests/stress/stress_batch_sim.cc), but
- * the bump retires every record produced by the pre-batching engine so
- * a batched run can never be served a result the new execution paths
- * were never checked against.
+ * v4: the engine gained batched execution (lockstep lanes and
+ * snapshot-fork sweep groups, both since removed; sweep clones
+ * remain).  Batched results are proven bit-identical to serial ones
+ * (tests/stress/stress_batch_sim.cc), but the bump retires every
+ * record produced by the pre-batching engine so a batched run can
+ * never be served a result the new execution paths were never checked
+ * against.
  *
  * v5: the big/little dichotomy generalized into an N-cluster
  * CoreTopology threaded through every layer (machine, census, DVFS
@@ -116,17 +117,6 @@ struct RunSpec
     bool collect_trace = false;
     SpecOverrides overrides;
     /**
-     * Batching hint: when true (the default) the engine may satisfy
-     * this spec with a snapshot-fork continuation or a clone of a
-     * sweep's reference run instead of a standalone Machine::run.
-     * Both are bit-identical to a plain run, so the hint is not part
-     * of the canonical form; it exists for callers that want a spec
-     * pinned to the plain path (A/B timing, bug triage).
-     * Serving specs ignore it (their service tables are memoized per
-     * batch regardless; see buildServiceTable).
-     */
-    bool batchable = true;
-    /**
      * Open-loop serving dimension: when set, executeSpec() runs the
      * request-level serving simulation (serve/sim_server.h) instead of
      * one closed-loop Machine::run(), and the result's `sim.serve`
@@ -152,6 +142,9 @@ void applyOverrides(MachineConfig &config, const SpecOverrides &overrides);
 
 /** configFor() + overrides: the exact config executeSpec() simulates. */
 MachineConfig configForSpec(const Kernel &kernel, const RunSpec &spec);
+
+/** A result labelled with the spec's kernel, shape and variant. */
+RunResult labelledResult(const RunSpec &spec, SimResult sim);
 
 /**
  * Run the simulation a spec describes (no caching at this layer): the

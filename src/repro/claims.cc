@@ -448,7 +448,7 @@ buildClaims()
     // mismatches between two executions of the same uncached probe,
     // so any divergence — a single flipped double bit — fails the
     // gate.  The fig08 probe checks the worker fan-out (--jobs=N vs
-    // --jobs=1); the mug sweep checks snapshot forks vs plain runs.
+    // --jobs=1); the mug sweep checks sweep clones vs plain runs.
     add(exact("batch/fig08_bit_identical", "harness invariant",
               "fig08 probe fanned out over several jobs serializes "
               "byte-identically to a one-job execution",
@@ -456,7 +456,7 @@ buildClaims()
                   "json_mismatches"),
               0.0));
     add(exact("batch/sens_mug_bit_identical", "harness invariant",
-              "batched mug-latency sweep (snapshot forks) serializes "
+              "batched mug-latency sweep (clones) serializes "
               "byte-identically to serial execution",
               agg("sens_mug_latency", "batch_check", "json_mismatches"),
               0.0));

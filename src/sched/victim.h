@@ -169,7 +169,7 @@ class RandomVictimSelector final : public VictimSelector
         }
         // The stream only advances when there is a choice to make, so
         // an empty machine does not perturb later draws (the
-        // simulator's bit-identical replay depends on this).
+        // simulator's pinned results depend on this draw order).
         if (n == 0)
             return -1;
         rng_ ^= rng_ >> 12;
@@ -178,14 +178,6 @@ class RandomVictimSelector final : public VictimSelector
         return candidates[(rng_ * 0x2545F4914F6CDD1Dull >> 33) %
                           static_cast<uint64_t>(n)];
     }
-
-    /**
-     * Current stream position, for engines that snapshot and restore
-     * mid-run state (the simulator's fork support): restoring the
-     * value replays the exact remaining draw sequence.
-     */
-    uint64_t rngState() const { return rng_; }
-    void setRngState(uint64_t state) { rng_ = state ? state : kDefaultSeed; }
 
   private:
     uint64_t rng_;

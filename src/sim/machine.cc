@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -930,9 +929,6 @@ Machine::dumpStateAndPanic()
 void
 Machine::boot()
 {
-    AAWS_ASSERT(!booted_, "Machine booted twice");
-    booted_ = true;
-
     // Boot: worker 0 starts the program; everyone else hunts for work.
     for (size_t c = 0; c < cores_.size(); ++c) {
         updateEnergy(static_cast<int>(c));
@@ -1013,8 +1009,6 @@ Machine::finalize()
 {
     AAWS_ASSERT(finished_, "simulation ran out of events before the "
                            "program completed (deadlock)");
-    AAWS_ASSERT(!finalized_, "Machine finalized twice");
-    finalized_ = true;
     double end = ticksToSeconds(finish_tick_);
     energy_.finish(end);
     regions_.finish(end);
@@ -1046,109 +1040,17 @@ Machine::finalize()
 }
 
 SimResult
-Machine::resumeRun()
-{
-    AAWS_ASSERT(booted_, "resumeRun before boot");
-    runEvents(std::numeric_limits<uint64_t>::max());
-    return finalize();
-}
-
-SimResult
 Machine::run()
 {
+    AAWS_ASSERT(!ran_, "Machine run twice");
+    ran_ = true;
     boot();
-    return resumeRun();
-}
-
-uint64_t
-Machine::runEvents(uint64_t max_total_events)
-{
-    if (!booted_)
-        boot();
-    while (!finished_ && result_.sim_events < max_total_events &&
-           !events_.empty()) {
+    while (!finished_ && !events_.empty()) {
         Tick tick = events_.topTick();
         int slot = events_.pop();
         dispatchEvent(slot, tick);
     }
-    return result_.sim_events;
-}
-
-// --- snapshot-and-fork ------------------------------------------------------
-
-Machine::Snapshot
-Machine::snapshot() const
-{
-    AAWS_ASSERT(booted_ && !finalized_, "snapshot outside an active run");
-    Snapshot s;
-    s.cores = cores_;
-    s.workers = workers_;
-    s.worker_core = worker_core_;
-    s.frames = frames_;
-    s.free_frames = free_frames_;
-    s.events = events_;
-    s.now = now_;
-    s.seq = seq_;
-    s.phase_idx = phase_idx_;
-    s.serial_core = serial_core_;
-    s.finished = finished_;
-    s.finish_tick = finish_tick_;
-    s.controller_busy = controller_busy_;
-    s.controller_pending = controller_pending_;
-    s.controller_free_at = controller_free_at_;
-    s.result = result_;
-    s.active_count = active_count_;
-    s.contention_factor = contention_factor_;
-    s.state_census = state_census_;
-    s.hint_census = hint_census_;
-    s.census_idx = census_idx_;
-    s.census_since = census_since_;
-    s.occupancy_seconds = occupancy_seconds_;
-    s.victim_rng = rand_victim_ ? rand_victim_->rngState() : 0;
-    s.energy = energy_.exportState();
-    s.regions = regions_;
-    for (int k = 0; k < kNumSweepKnobs; ++k)
-        s.knob_first_read[k] = knob_first_read_[k];
-    return s;
-}
-
-void
-Machine::restore(const Snapshot &snap)
-{
-    AAWS_ASSERT(!finalized_, "restore into a finalized machine");
-    AAWS_ASSERT(snap.cores.size() == cores_.size() &&
-                    snap.workers.size() == workers_.size(),
-                "snapshot shape mismatch");
-    cores_ = snap.cores;
-    workers_ = snap.workers;
-    worker_core_ = snap.worker_core;
-    frames_ = snap.frames;
-    free_frames_ = snap.free_frames;
-    events_ = snap.events;
-    now_ = snap.now;
-    seq_ = snap.seq;
-    phase_idx_ = snap.phase_idx;
-    serial_core_ = snap.serial_core;
-    finished_ = snap.finished;
-    finish_tick_ = snap.finish_tick;
-    controller_busy_ = snap.controller_busy;
-    controller_pending_ = snap.controller_pending;
-    controller_free_at_ = snap.controller_free_at;
-    result_ = snap.result;
-    active_count_ = snap.active_count;
-    contention_factor_ = snap.contention_factor;
-    state_census_ = snap.state_census;
-    hint_census_ = snap.hint_census;
-    census_idx_ = snap.census_idx;
-    census_since_ = snap.census_since;
-    occupancy_seconds_ = snap.occupancy_seconds;
-    if (rand_victim_)
-        rand_victim_->setRngState(snap.victim_rng);
-    energy_.importState(snap.energy);
-    regions_ = snap.regions;
-    for (int k = 0; k < kNumSweepKnobs; ++k)
-        knob_first_read_[k] = snap.knob_first_read[k];
-    booted_ = true;
+    return finalize();
 }
 
 } // namespace aaws

@@ -41,14 +41,9 @@
  * in-flight charge is an in-place heap update instead of a stale entry
  * plus an epoch check at pop time.
  *
- * For the batch engine (DESIGN.md §10), snapshot()/restore() capture
- * and reinstate every piece of mutable simulation state (cores, deques,
- * frames, event queue, DVFS and census state, energy timelines, RNG
- * streams), so a sweep that varies only a tail parameter can simulate
- * the common prefix once and fork.  The machine also records the event
- * index at which each spec-sweepable config knob is *first read*; a
- * fork taken before that index is provably bit-identical to a
- * from-scratch run.
+ * For the batch engine (DESIGN.md §10), the machine also records whether
+ * each spec-sweepable config knob was *ever read*; a run that never read
+ * a knob is bit-identical to one under any other value of it.
  */
 
 #ifndef AAWS_SIM_MACHINE_H
@@ -73,11 +68,10 @@ namespace aaws {
 
 /**
  * The machine-config knobs the experiment engine sweeps (SpecOverrides
- * cost/regulator dimensions).  The machine records the event index at
- * which each is first consumed so the engine can prove when a
- * snapshot-and-fork run is equivalent to a from-scratch one: if a knob
- * is never read before event E, two configs differing only in that
- * knob simulate bit-identical histories through event E.
+ * cost/regulator dimensions).  The machine records whether each was
+ * consumed at all, so the engine can prove when a sweep value's result
+ * is a clone of another's: if a run never read a knob, two configs
+ * differing only in that knob simulate bit-identical histories.
  */
 enum class SweepKnob
 {
@@ -91,8 +85,7 @@ inline constexpr int kNumSweepKnobs = 3;
 
 /**
  * One simulated machine executing one task DAG.  Construct and run()
- * once; the object is not reusable (but see snapshot()/restore(), which
- * reinstate a mid-run state into a freshly constructed machine).
+ * once; the object is not reusable.
  *
  * Implements the `sched::SchedView` *concept* statically: the policy
  * components' templates bind `Machine` directly, so the millions of
@@ -119,44 +112,16 @@ class Machine final
     /** Execute the whole program and return the measurements. */
     SimResult run();
 
-    // --- snapshot-and-fork ----------------------------------------------
-
-    /** Full copy of the mutable simulation state (see class comment). */
-    struct Snapshot;
-
     /**
-     * Drive the owned event loop until `max_total_events` events have
-     * been dispatched since boot (boots first when needed); stops early
-     * when the program finishes.  Returns the events dispatched so far.
+     * Whether `knob` was consumed during the run (after run(); boot
+     * reads count).  False means every value of the knob yields this
+     * run's exact history.
      */
-    uint64_t runEvents(uint64_t max_total_events);
-
-    /** Capture the complete mutable state. */
-    Snapshot snapshot() const;
-
-    /**
-     * Reinstate a snapshot taken from a machine of the same shape and
-     * DAG.  The *configuration* may differ in knobs that were never
-     * read before the snapshot (the fork contract — see SweepKnob);
-     * everything else must match or the continuation is undefined.
-     */
-    void restore(const Snapshot &snap);
-
-    /** Continue an in-progress (booted or restored) run to completion. */
-    SimResult resumeRun();
-
-    /**
-     * Event index (1-based dispatch count) at which `knob` was first
-     * read; kKnobNeverRead when the whole run never consumed it, 0 when
-     * it was read during boot().  Valid during and after a run.
-     */
-    uint64_t
-    knobFirstReadEvent(SweepKnob knob) const
+    bool
+    knobRead(SweepKnob knob) const
     {
-        return knob_first_read_[static_cast<int>(knob)];
+        return knob_read_[static_cast<int>(knob)];
     }
-
-    static constexpr uint64_t kKnobNeverRead = ~0ull;
 
     // --- sched::SchedView concept (read-only policy inputs) -------------
     //
@@ -301,7 +266,7 @@ class Machine final
         bool mug_for_phase = false;
     };
 
-    // --- event loop (run / runEvents / resumeRun) -------------------------
+    // --- event loop (run) ---------------------------------------------------
 
     /** Schedule the boot events (phase 0, steal loops, boot decision). */
     void boot();
@@ -381,20 +346,18 @@ class Machine final
     /** Slot of the controller-free event. */
     int controllerSlot() const { return 2 * num_cores_; }
 
-    /** Record the first read of a sweepable config knob. */
+    /** Record a read of a sweepable config knob. */
     void
     noteKnobRead(SweepKnob knob)
     {
-        uint64_t &first = knob_first_read_[static_cast<int>(knob)];
-        if (first == kKnobNeverRead)
-            first = result_.sim_events;
+        knob_read_[static_cast<int>(knob)] = true;
     }
 
     // --- members -----------------------------------------------------------------
 
-    // Owned copy, not a reference: callers (the engine's fork path)
-    // routinely construct machines from temporary or loop-local
-    // configs, and the config is read on every event.
+    // Owned copy, not a reference: callers routinely construct
+    // machines from temporary or loop-local configs, and the config is
+    // read on every event.
     const MachineConfig config_;
     const TaskDag &dag_;
     FirstOrderModel app_model_;
@@ -435,13 +398,10 @@ class Machine final
     Tick controller_free_at_ = 0;
 
     SimResult result_;
-    bool booted_ = false;
-    bool finalized_ = false;
+    bool ran_ = false;
     bool trace_enabled_ = false;
-    /** First-read event index per SweepKnob (kKnobNeverRead = never). */
-    uint64_t knob_first_read_[kNumSweepKnobs] = {kKnobNeverRead,
-                                                 kKnobNeverRead,
-                                                 kKnobNeverRead};
+    /** Whether each SweepKnob was consumed (see knobRead). */
+    bool knob_read_[kNumSweepKnobs] = {false, false, false};
     /** Victim choice / biasing / mug policy stack (src/sched/). */
     sched::PolicyStack policy_;
     // Concrete selector for the hot steal path (exactly one non-null):
@@ -466,45 +426,6 @@ class Machine final
     // Reused decision buffers (avoid per-census allocation).
     std::vector<bool> hints_buf_;
     std::vector<double> targets_buf_;
-};
-
-/**
- * Complete copy of a machine's mutable simulation state at an event
- * boundary.  Opaque to callers: produce with Machine::snapshot(),
- * consume with Machine::restore() on a machine built from the same DAG
- * and a fork-compatible configuration.  Everything is stored by value,
- * so a snapshot outlives the machine it was taken from.
- */
-struct Machine::Snapshot
-{
-    std::vector<Core> cores;
-    std::vector<Worker> workers;
-    std::vector<int16_t> worker_core;
-    std::vector<Frame> frames;
-    std::vector<int32_t> free_frames;
-    IndexedEventQueue events{0};
-    Tick now = 0;
-    uint64_t seq = 0;
-    size_t phase_idx = 0;
-    int serial_core = -1;
-    bool finished = false;
-    Tick finish_tick = 0;
-    bool controller_busy = false;
-    bool controller_pending = false;
-    Tick controller_free_at = 0;
-    SimResult result;
-    int active_count = 0;
-    double contention_factor = 1.0;
-    sched::ActivityCensus state_census;
-    sched::ActivityCensus hint_census;
-    int census_idx = 0;
-    Tick census_since = 0;
-    std::vector<double> occupancy_seconds;
-    /** Seeded random-victim stream position (0 = occupancy selector). */
-    uint64_t victim_rng = 0;
-    EnergyAccountant::State energy;
-    RegionTracker regions{0, 0};
-    uint64_t knob_first_read[kNumSweepKnobs] = {0, 0, 0};
 };
 
 // The policy templates bind Machine directly; keep the accessor set in

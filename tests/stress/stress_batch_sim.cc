@@ -3,17 +3,18 @@
  * Batch-execution equivalence fuzz (DESIGN.md §10): the wide sweep
  * behind the unit tests in tests/test_batch_sim.cc.
  *
- * Two promises are fuzzed across kernels, variants and seeds (scaled
- * by AAWS_BATCH_FUZZ_SEEDS; 50 in the uninstrumented build), compared
- * as serialized SimResult JSON, so every statistic, per-core counter,
- * and double bit pattern participates:
+ * Two promises are checked, compared as serialized SimResult JSON, so
+ * every statistic, per-core counter, and double bit pattern
+ * participates:
  *
- *  1. Snapshot/restore continuations replay the reference run
- *     bit-for-bit from arbitrary cut points.
- *  2. The engine's batched execution (snapshot forks, never-read
- *     clones) and its worker count are invisible in the results:
- *     jobs=1/jobs=N, batching on/off all produce byte-equal result
- *     arrays.
+ *  1. The clone contract: for every SweepKnob x kernel x variant, a
+ *     run that reports a knob as never read is byte-identical to a
+ *     from-scratch run under a different value of that knob.
+ *  2. The engine's batched execution (never-read clones) and its
+ *     worker count are invisible in the results: jobs=1/jobs=N,
+ *     batching on/off all produce byte-equal result arrays (campaign
+ *     size scaled by AAWS_BATCH_FUZZ_SEEDS; 50 in the uninstrumented
+ *     build).
  */
 
 #include <gtest/gtest.h>
@@ -24,9 +25,9 @@
 
 #include "aaws/experiment.h"
 #include "exp/engine.h"
+#include "kernels/registry.h"
 #include "sim/machine.h"
 #include "sim/result_json.h"
-#include "sim_compare.h"
 #include "stress_util.h"
 
 namespace aaws {
@@ -42,43 +43,60 @@ fuzzSeeds()
     return stress::envKnob("AAWS_BATCH_FUZZ_SEEDS", 50, 12);
 }
 
-TEST(BatchFuzz, SnapshotForkContinuationsMatchReference)
+/** `config` with `knob` moved off its value. */
+MachineConfig
+withOtherKnobValue(MachineConfig config, SweepKnob knob)
 {
-    const uint64_t base = stress::baseSeed() ^ 0xF0F0'F0F0ull;
-    const int64_t rounds = std::max<int64_t>(fuzzSeeds() / 4, 4);
-    for (int64_t round = 0; round < rounds; ++round) {
-        const char *name =
-            kFuzzKernels[round % std::size(kFuzzKernels)];
-        const uint64_t seed = stress::nthSeed(base, round);
-        SCOPED_TRACE(testing::Message()
-                     << "round " << round << ": kernel " << name
-                     << ", seed 0x" << std::hex << seed);
-        Kernel kernel = makeKernel(name, seed);
-        MachineConfig config =
-            configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
-        SimResult reference = Machine(config, kernel.dag).run();
-        ASSERT_GT(reference.sim_events, 10u);
-
-        // Pseudo-random cut point strictly inside the run.
-        const uint64_t cut =
-            1 + stress::nthSeed(seed, 1) % (reference.sim_events - 1);
-        SCOPED_TRACE(testing::Message() << "cut at event " << std::dec
-                                        << cut);
-        Machine prefix(config, kernel.dag);
-        ASSERT_EQ(prefix.runEvents(cut), cut);
-        Machine::Snapshot snap = prefix.snapshot();
-
-        Machine forked(config, kernel.dag);
-        forked.restore(snap);
-        SimResult continued = forked.resumeRun();
-        EXPECT_EQ(simResultToJson(reference), simResultToJson(continued))
-            << "snapshot/restore continuation diverged";
+    switch (knob) {
+      case SweepKnob::steal_attempt_cycles:
+        config.costs.steal_attempt_cycles =
+            3 * config.costs.steal_attempt_cycles + 7;
+        break;
+      case SweepKnob::mug_interrupt_cycles:
+        config.costs.mug_interrupt_cycles =
+            3 * config.costs.mug_interrupt_cycles + 7;
+        break;
+      case SweepKnob::regulator_ns_per_step:
+        config.regulator_ns_per_step =
+            3.0 * config.regulator_ns_per_step + 7.0;
+        break;
     }
+    return config;
+}
+
+TEST(BatchFuzz, NeverReadKnobsAreClones)
+{
+    const uint64_t seed = stress::nthSeed(stress::baseSeed(), 3000);
+    int clones_checked = 0;
+    for (const std::string &name : kernelNames()) {
+        Kernel kernel = makeKernel(name, seed);
+        for (Variant variant : allVariants()) {
+            MachineConfig config =
+                configFor(kernel, SystemShape::s4B4L, variant);
+            Machine reference(config, kernel.dag);
+            const std::string expected = simResultToJson(reference.run());
+            for (int k = 0; k < kNumSweepKnobs; ++k) {
+                const auto knob = static_cast<SweepKnob>(k);
+                if (reference.knobRead(knob))
+                    continue;
+                SCOPED_TRACE(testing::Message()
+                             << name << " " << variantName(variant)
+                             << " knob " << k << ", seed 0x" << std::hex
+                             << seed);
+                MachineConfig other = withOtherKnobValue(config, knob);
+                EXPECT_EQ(expected,
+                          simResultToJson(Machine(other, kernel.dag).run()))
+                    << "a never-read knob changed the result";
+                clones_checked++;
+            }
+        }
+    }
+    EXPECT_GT(clones_checked, 0) << "no never-read knob: oracle is vacuous";
 }
 
 /**
  * The engine batch a fig08+sensitivity campaign produces: kernels x
- * variants plus a one-knob sweep row (fork or clone path, depending on
+ * variants plus a one-knob sweep row (plain or clone path, depending on
  * whether the variant ever reads the knob).
  */
 std::vector<exp::RunSpec>
@@ -91,7 +109,7 @@ campaignSpecs(uint64_t base, int64_t seed_count)
         for (Variant variant : allVariants())
             specs.emplace_back(name, SystemShape::s4B4L, variant, seed);
     }
-    // Fork candidates: mug-latency sweep on a mugging variant...
+    // Plain sweep units: mug-latency sweep on a mugging variant...
     for (uint64_t cycles : {150ull, 450ull, 900ull}) {
         exp::RunSpec spec("dict", SystemShape::s4B4L, Variant::base_psm,
                           stress::nthSeed(base, 2000));
@@ -140,7 +158,7 @@ TEST(BatchFuzz, EngineBatchingAndJobsAreInvisibleInResults)
     exp::BatchStats batched_stats;
     std::vector<RunResult> batched =
         exp::runBatch(specs, options, &batched_stats);
-    EXPECT_GT(batched_stats.fork_runs + batched_stats.cloned_results, 0u)
+    EXPECT_GT(batched_stats.cloned_results, 0u)
         << "campaign should exercise the sweep path";
     EXPECT_EQ(resultLines(serial), resultLines(batched))
         << "batched execution changed results";

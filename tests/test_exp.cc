@@ -818,9 +818,9 @@ TEST(Engine, PlansOneUnitPerMissExceptForkSweeps)
     EXPECT_EQ(stats.units, 20u);
     EXPECT_EQ(stats.fork_runs + stats.cloned_results, 0u);
 
-    // A mug-latency sweep still shares one fork unit per sweep row: on
-    // base+psm the knob is read mid-run (snapshot forks), on base+ps
-    // never (clones of the reference).
+    // A mug-latency sweep still shares one sweep unit per sweep row: on
+    // base+psm the knob is read (plain runs inside the unit), on
+    // base+ps never (clones of the reference).
     std::vector<exp::RunSpec> mug;
     for (Variant v : {Variant::base_psm, Variant::base_ps})
         for (uint64_t cycles : {150ull, 450ull, 900ull}) {
@@ -828,11 +828,17 @@ TEST(Engine, PlansOneUnitPerMissExceptForkSweeps)
             spec.overrides.mug_interrupt_cycles = cycles;
             mug.push_back(spec);
         }
-    exp::runBatch(mug, options, &stats);
+    std::vector<RunResult> batched = exp::runBatch(mug, options, &stats);
     EXPECT_EQ(stats.misses, 6u);
     EXPECT_EQ(stats.units, 2u);
-    EXPECT_EQ(stats.fork_runs, 2u);
+    EXPECT_EQ(stats.fork_runs, 0u);
     EXPECT_EQ(stats.cloned_results, 2u);
+    // The base+psm row runs inside its unit exactly as per spec.
+    for (size_t i = 0; i < 3; ++i) {
+        SCOPED_TRACE(testing::Message() << "base+psm spec " << i);
+        EXPECT_EQ(exp::runResultToJson(batched[i]),
+                  exp::runResultToJson(exp::executeSpec(mug[i])));
+    }
 
     // --no-batch: no sharing, one unit per miss.
     options.batching = false;
